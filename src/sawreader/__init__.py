@@ -28,14 +28,10 @@ from .reader import (
     ReaderConfig,
     ReaderModel,
     answer,
-    augment,
-    forward,
     forward_batch,
     gated_attention_layer,
     load_model,
-    predict,
     save_model,
-    subword_embed,
 )
 from .synth import SyntheticSpec, generate_synthetic
 from .training import TrainConfig, TrainHistory, lr_schedule, train
@@ -45,7 +41,6 @@ from .vocab import (
     build_short_list,
     build_vocab,
     index_subwords,
-    index_word,
 )
 
 __version__ = "0.1.0"

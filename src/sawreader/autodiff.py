@@ -59,7 +59,12 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Accumulate gradients of this scalar into every reachable parent."""
+        """Accumulate gradients of this scalar into every reachable parent.
+
+        A graph is walked once: each node drops its closure and parents as
+        the walk passes it, so the graph is freed by reference counting
+        rather than left as reference cycles for the cyclic collector.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
         topo: list[Tensor] = []
@@ -81,12 +86,11 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward()
+            node._backward = None
+            node._parents = ()
 
     def __add__(self, other):
         return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -135,22 +139,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), backward)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"sub: shape mismatch {a.shape} vs {b.shape}")
-    out = Tensor(a.data - b.data)
-    if not _needs(a, b):
-        return out
-
-    def backward():
-        if a.requires_grad:
-            accumulate(a, out.grad)
-        if b.requires_grad:
-            accumulate(b, -out.grad)
-
-    return _record(out, (a, b), backward)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; shapes must match exactly."""
     if a.shape != b.shape:
@@ -175,17 +163,6 @@ def neg(a: Tensor) -> Tensor:
 
     def backward():
         accumulate(a, -out.grad)
-
-    return _record(out, (a,), backward)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    out = Tensor(a.data * c)
-    if not _needs(a):
-        return out
-
-    def backward():
-        accumulate(a, out.grad * c)
 
     return _record(out, (a,), backward)
 
@@ -324,22 +301,6 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     return _record(out, tuple(tensors), backward)
 
 
-def stack_rows(tensors: list[Tensor]) -> Tensor:
-    """Stack 1-D tensors of equal length into a (n, d) matrix."""
-    if not tensors:
-        raise ValueError("stack_rows: empty input")
-    out = Tensor(np.stack([t.data for t in tensors], axis=0))
-    if not _needs(*tensors):
-        return out
-
-    def backward():
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                accumulate(t, out.grad[i])
-
-    return _record(out, tuple(tensors), backward)
-
-
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = Tensor(a.data.reshape(shape))
     if not _needs(a):
@@ -397,21 +358,6 @@ def slice_rows(a: Tensor, i: int, length: int) -> Tensor:
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
         a.grad[i, :length, :] += out.grad
-
-    return _record(out, (a,), backward)
-
-
-def slice1d(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.ndim != 1:
-        raise ValueError("slice1d: expected a 1-D tensor")
-    out = Tensor(a.data[start:stop])
-    if not _needs(a):
-        return out
-
-    def backward():
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[start:stop] += out.grad
 
     return _record(out, (a,), backward)
 

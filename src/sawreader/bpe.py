@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 Pair = tuple[str, str]
 
@@ -31,10 +31,6 @@ class WordFreqTable:
             if count < 1:
                 raise ValueError(f"count for {word!r} must be >= 1, got {count}")
         self.entries: dict[str, int] = dict(entries)
-
-    @classmethod
-    def from_tokens(cls, tokens: Iterable[str]) -> "WordFreqTable":
-        return cls(Counter(tokens))
 
     @classmethod
     def from_tsv(cls, path) -> "WordFreqTable":

@@ -13,27 +13,13 @@ import os
 import sys
 from dataclasses import fields, replace
 
-from . import autodiff as ad
 from .bpe import MergeTable, WordFreqTable, segment_word, train_bpe
 from .configio import load_kv
 from .data import DatasetError, load_dataset, save_dataset
-from .harness import (
-    build_pipeline,
-    dump_attention,
-    evaluate,
-    sweep,
-    sweep_csv,
-)
-from .reader import (
-    ReaderConfig,
-    ReaderModel,
-    answer,
-    forward_batch,
-    load_model,
-    save_model,
-)
+from .harness import dump_attention, evaluate, new_model, sweep, sweep_csv
+from .reader import ReaderConfig, load_model, save_model, top_candidates
 from .synth import SyntheticSpec, generate_synthetic
-from .training import TrainConfig, train
+from .training import TrainConfig, eval_passes, train
 from .vocab import build_short_list, build_vocab, save_short_list
 
 
@@ -133,10 +119,7 @@ def _cmd_train(args) -> int:
         train_cfg = replace(train_cfg, seed=seed)
     train_set = _load_split(args.data, "train")
     valid_set = _load_split(args.data, "valid")
-    merges, subwords, vocab, short_list = build_pipeline(train_set, reader_cfg)
-    model = ReaderModel(
-        reader_cfg, merges, subwords, vocab, short_list, seed=train_cfg.seed
-    )
+    model = new_model(train_set, reader_cfg, seed=train_cfg.seed)
 
     def log(row):
         print(
@@ -183,25 +166,14 @@ def _cmd_predict(args) -> int:
     model = load_model(args.model)
     examples = load_dataset(args.input, require_answer=False)
     lines = []
-    with ad.no_grad():
-        for start in range(0, len(examples), 32):
-            chunk = examples[start : start + 32]
-            for fp, ex in zip(forward_batch(model, chunk, mode="eval"), chunk):
-                ranked = sorted(
-                    fp.dist.per_candidate,
-                    key=lambda w: (-fp.dist.per_candidate[w], fp.dist.positions[w][0]),
-                )[:5]
-                lines.append(
-                    json.dumps(
-                        {
-                            "id": ex.id,
-                            "answer": answer(fp.dist),
-                            "top5": [
-                                [w, fp.dist.per_candidate[w]] for w in ranked
-                            ],
-                        }
-                    )
-                )
+    for fp in eval_passes(model, examples):
+        top5 = top_candidates(fp.dist, 5)
+        row = {
+            "id": fp.example.id,
+            "answer": top5[0],
+            "top5": [[w, fp.dist.per_candidate[w]] for w in top5],
+        }
+        lines.append(json.dumps(row))
     _write_or_stdout("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -12,15 +12,8 @@ import numpy as np
 from . import autodiff as ad
 from .bpe import MergeTable, SubwordVocab, WordFreqTable, build_subword_vocab, train_bpe
 from .data import ClozeExample
-from .reader import (
-    ReaderConfig,
-    ReaderModel,
-    answer,
-    forward,
-    forward_batch,
-    predict,
-)
-from .training import TrainConfig, train
+from .reader import ReaderConfig, ReaderModel, answer, forward_batch
+from .training import TrainConfig, check_answerable, eval_passes, train
 from .vocab import ShortList, Vocabulary, build_short_list, build_vocab
 
 
@@ -77,34 +70,24 @@ class EvalReport:
         return self.in_vocab_correct / self.in_vocab_total
 
 
-def evaluate(
-    model: ReaderModel, examples: list[ClozeExample], batch_size: int = 32
-) -> EvalReport:
+def evaluate(model: ReaderModel, examples: list[ClozeExample]) -> EvalReport:
     """Pure given (model, examples): no rng, repeated calls agree exactly."""
     if not examples:
         raise ValueError("evaluate: empty dataset")
-    for ex in examples:
-        if ex.answer is None:
-            raise ValueError(f"example {ex.id!r}: missing answer")
-        if ex.answer not in ex.document:
-            raise ValueError(
-                f"unanswerable example {ex.id!r}: answer not in document"
-            )
+    check_answerable(examples)
     results: list[ExampleResult] = []
-    with ad.no_grad():
-        for start in range(0, len(examples), batch_size):
-            chunk = examples[start : start + batch_size]
-            for fp, ex in zip(forward_batch(model, chunk, mode="eval"), chunk):
-                predicted = answer(fp.dist)
-                results.append(
-                    ExampleResult(
-                        id=ex.id,
-                        gold=ex.answer,
-                        predicted=predicted,
-                        correct=predicted == ex.answer,
-                        oov_answer=ex.answer not in model.short_list,
-                    )
-                )
+    for fp in eval_passes(model, examples):
+        ex = fp.example
+        predicted = answer(fp.dist)
+        results.append(
+            ExampleResult(
+                id=ex.id,
+                gold=ex.answer,
+                predicted=predicted,
+                correct=predicted == ex.answer,
+                oov_answer=ex.answer not in model.short_list,
+            )
+        )
     oov = [r for r in results if r.oov_answer]
     iv = [r for r in results if not r.oov_answer]
     return EvalReport(
@@ -158,15 +141,12 @@ def sweep(
     rows: list[SweepRow] = []
     for value in values:
         config = dataclasses.replace(reader_config, **{SWEEP_AXES[axis]: value})
-        merges, subwords, vocab, short_list = build_pipeline(splits["train"], config)
-        model = ReaderModel(
-            config, merges, subwords, vocab, short_list, seed=train_config.seed
-        )
+        model = new_model(splits["train"], config, seed=train_config.seed)
         train(model, splits["train"], splits["valid"], train_config)
         row = SweepRow(
             axis=axis,
             value=value,
-            subword_vocab_size=subwords.size,
+            subword_vocab_size=model.subwords.size,
             valid_accuracy=evaluate(model, splits["valid"]).accuracy,
             test_accuracy=evaluate(model, splits["test"]).accuracy,
         )
@@ -214,12 +194,12 @@ def dump_attention(
     k = model.config.num_layers
     if not 1 <= layer <= k:
         raise ValueError(f"layer out of range: {layer} (model has {k} layers)")
-    fp = forward(model, example, mode="eval", collect_attention=True)
-    dist = predict(fp.h_doc_final, fp.q_t, example.document)
+    with ad.no_grad():
+        fp = forward_batch(model, [example], collect_attention=True)[0]
     return AttentionDump(
         layer=layer,
         doc_tokens=example.document,
         query_tokens=example.query,
         alpha=fp.alphas[layer - 1],
-        per_position=dist.per_position,
+        per_position=fp.dist.per_position,
     )

@@ -171,27 +171,6 @@ def init_gru(
     return GruParams(**tensors)
 
 
-def gru_step(x: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:
-    """One gated update; with all-zero parameters this halves the state."""
-    if x.ndim != 1 or h_prev.ndim != 1:
-        raise ValueError("gru_step: x and h_prev must be 1-D")
-    if x.shape[0] != p.input_dim:
-        raise ValueError(
-            f"gru_step: input dim {x.shape[0]} != expected {p.input_dim}"
-        )
-    if h_prev.shape[0] != p.hidden_dim:
-        raise ValueError(
-            f"gru_step: state dim {h_prev.shape[0]} != expected {p.hidden_dim}"
-        )
-    r = ad.sigmoid(ad.matmul(p.W_r, x) + ad.matmul(p.U_r, h_prev) + p.b_r)
-    z = ad.sigmoid(ad.matmul(p.W_z, x) + ad.matmul(p.U_z, h_prev) + p.b_z)
-    h_cand = ad.tanh(
-        ad.matmul(p.W_h, x) + ad.matmul(p.U_h, ad.mul(r, h_prev)) + p.b_h
-    )
-    ones = Tensor(np.ones_like(z.data))
-    return ad.mul(ones - z, h_prev) + ad.mul(z, h_cand)
-
-
 def _gru_scan(x3, mask, p: GruParams, reverse: bool):
     """Masked batched scan in one direction. Returns outputs and step cache."""
     batch, steps, _ = x3.shape
@@ -336,40 +315,6 @@ def bigru_finals(h: Tensor, lengths: np.ndarray) -> Tensor:
         h.grad[rows, 0, hid:] += out.grad[:, hid:]
 
     return ad._record(out, (h,), backward)
-
-
-def bigru(seq, fwd: GruParams, bwd: GruParams):
-    """Single-sequence BiGRU.
-
-    Accepts a (T, in) tensor or a list of (in,) tensors. Returns the
-    (T, 2*hidden) per-step outputs and the (final_forward, final_backward)
-    state pair.
-    """
-    if isinstance(seq, (list, tuple)):
-        if not seq:
-            raise ValueError("bigru: empty sequence")
-        seq = ad.stack_rows(list(seq))
-    if seq.ndim != 2 or seq.shape[0] == 0:
-        raise ValueError("bigru: expected a non-empty (T, in) tensor")
-    steps = seq.shape[0]
-    x3 = ad.reshape(seq, (1, steps, seq.shape[1]))
-    lengths = np.array([steps], dtype=np.intp)
-    h3 = bigru_batch(x3, lengths, fwd, bwd)
-    outputs = ad.slice_rows(h3, 0, steps)
-    finals = ad.take_row(bigru_finals(h3, lengths), 0)
-    hid = fwd.hidden_dim
-    return outputs, (ad.slice1d(finals, 0, hid), ad.slice1d(finals, hid, 2 * hid))
-
-
-def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """w @ x + b for a vector, or the same map applied to each row of a matrix."""
-    if x.ndim == 1:
-        if w.shape[1] != x.shape[0] or w.shape[0] != b.shape[0]:
-            raise ValueError(
-                f"dense: shape mismatch w{w.shape}, x{x.shape}, b{b.shape}"
-            )
-        return ad.matmul(w, x) + b
-    return ad.affine(x, w, b)
 
 
 def dropout(

@@ -9,6 +9,7 @@ distribution aggregates per-position probability over repeated words.
 
 from __future__ import annotations
 
+import heapq
 import os
 from dataclasses import dataclass, fields
 
@@ -21,14 +22,7 @@ from .bpe import MergeTable, SubwordVocab
 from .configio import load_kv, save_kv
 from .data import PLACEHOLDER, ClozeExample
 from .neural import GruParams, ParamStore
-from .vocab import (
-    ShortList,
-    Vocabulary,
-    index_subwords,
-    index_word,
-    load_short_list,
-    save_short_list,
-)
+from .vocab import ShortList, Vocabulary, build_short_list, index_subwords
 
 INTEGRATION_OPS = ("concat", "sum", "mul")
 
@@ -168,8 +162,6 @@ class ForwardPass:
     p: Tensor
     dist: AnswerDistribution
     alphas: list[np.ndarray] | None
-    h_doc_final: Tensor
-    q_t: Tensor
 
 
 def build_distribution(p: np.ndarray, doc_tokens: tuple[str, ...]) -> AnswerDistribution:
@@ -181,12 +173,19 @@ def build_distribution(p: np.ndarray, doc_tokens: tuple[str, ...]) -> AnswerDist
     return AnswerDistribution(tuple(doc_tokens), p.copy(), positions, per_candidate)
 
 
-def answer(dist: AnswerDistribution) -> str:
-    """Highest aggregated probability; ties go to the earliest first position."""
-    return min(
+def top_candidates(dist: AnswerDistribution, k: int) -> list[str]:
+    """The k best words: highest aggregated probability first, ties going
+    to the earliest first position."""
+    return heapq.nsmallest(
+        k,
         dist.per_candidate,
         key=lambda w: (-dist.per_candidate[w], dist.positions[w][0]),
     )
+
+
+def answer(dist: AnswerDistribution) -> str:
+    """The first of top_candidates."""
+    return top_candidates(dist, 1)[0]
 
 
 def subword_encode_batch(model: ReaderModel, words: list[str]) -> Tensor:
@@ -203,11 +202,7 @@ def subword_encode_batch(model: ReaderModel, words: list[str]) -> Tensor:
     x3 = ad.reshape(flat, (len(words), t_max, model.config.subword_dim))
     h = neural.bigru_batch(x3, lengths, model.sub_enc_fwd, model.sub_enc_bwd)
     finals = neural.bigru_finals(h, lengths)
-    return neural.dense(finals, model.sub_proj_w, model.sub_proj_b)
-
-
-def subword_embed(model: ReaderModel, word: str) -> Tensor:
-    return ad.take_row(subword_encode_batch(model, [word]), 0)
+    return ad.affine(finals, model.sub_proj_w, model.sub_proj_b)
 
 
 def _combine(op: str, we: Tensor, se: Tensor) -> Tensor:
@@ -226,31 +221,10 @@ def augment_words(model: ReaderModel, words: list[str]) -> Tensor:
     A word outside the short list reads the shared unknown word row, but
     its subword branch is always computed from the original spelling.
     """
-    word_idx = np.array(
-        [index_word(w, model.short_list) for w in words], dtype=np.intp
-    )
+    word_idx = np.array([model.short_list.index(w) for w in words], dtype=np.intp)
     we = ad.gather_rows(model.word_emb, word_idx)
     se = subword_encode_batch(model, words)
     return _combine(model.config.integration_op, we, se)
-
-
-def augment(model: ReaderModel, word: str) -> Tensor:
-    return ad.take_row(augment_words(model, [word]), 0)
-
-
-def encode(model: ReaderModel, tokens, fwd: GruParams, bwd: GruParams) -> Tensor:
-    """Fused embeddings for a token sequence run through one BiGRU: (n, 2h)."""
-    tokens = list(tokens)
-    if not tokens:
-        raise ValueError("encode: empty token sequence")
-    distinct: dict[str, int] = {}
-    for tok in tokens:
-        distinct.setdefault(tok, len(distinct))
-    embedded = augment_words(model, list(distinct))
-    rows = ad.gather_rows(embedded, [distinct[t] for t in tokens])
-    x3, lengths = ad.pad_stack([rows])
-    h = neural.bigru_batch(x3, lengths, fwd, bwd)
-    return ad.slice_rows(h, 0, len(tokens))
 
 
 def gated_attention_layer(h_doc: Tensor, h_query: Tensor) -> tuple[Tensor, Tensor]:
@@ -270,19 +244,6 @@ def gated_attention_layer(h_doc: Tensor, h_query: Tensor) -> tuple[Tensor, Tenso
     alpha = ad.softmax(scores)
     beta = ad.matmul(alpha, h_query)
     return ad.mul(h_doc, beta), alpha
-
-
-def predict(h_doc, q_t, doc_tokens) -> AnswerDistribution:
-    """Softmax over document positions of each position's match with q_t."""
-    if not isinstance(h_doc, Tensor):
-        h_doc = Tensor(h_doc)
-    if not isinstance(q_t, Tensor):
-        q_t = Tensor(q_t)
-    doc_tokens = tuple(doc_tokens)
-    if h_doc.ndim != 2 or h_doc.shape[0] != len(doc_tokens):
-        raise ValueError("predict: h_doc must have one row per document token")
-    p = ad.softmax(ad.matmul(h_doc, q_t))
-    return build_distribution(p.data, doc_tokens)
 
 
 def _validate_example(ex: ClozeExample) -> None:
@@ -360,28 +321,15 @@ def forward_batch(
         p = ad.softmax(ad.matmul(h_final, q_t))
         dist = build_distribution(p.data, ex.document)
         results.append(
-            ForwardPass(
-                ex, p, dist, alphas[i] if collect_attention else None, h_final, q_t
-            )
+            ForwardPass(ex, p, dist, alphas[i] if collect_attention else None)
         )
     return results
-
-
-def forward(
-    model: ReaderModel,
-    example: ClozeExample,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-    collect_attention: bool = False,
-) -> ForwardPass:
-    return forward_batch(model, [example], mode, rng, collect_attention)[0]
 
 
 _CKPT_FILES = {
     "config": "reader.cfg",
     "merges": "merges.txt",
     "vocab": "vocab.tsv",
-    "shortlist": "shortlist.tsv",
     "subwords": "subwords.tsv",
     "params": "params.bin",
     "manifest": "params.manifest",
@@ -397,12 +345,13 @@ def save_model(model: ReaderModel, ckpt_dir) -> None:
     )
     model.merges.save(path("merges"))
     model.vocab.save(path("vocab"))
-    save_short_list(model.short_list, model.vocab, path("shortlist"))
     model.subwords.save(path("subwords"))
     model.params.save(path("params"), path("manifest"))
 
 
 def load_model(ckpt_dir) -> ReaderModel:
+    """Rebuild a saved model; the short list is refitted from vocab.tsv and
+    gamma, so a shortlist.tsv left by older checkpoints is ignored."""
     path = lambda key: os.path.join(ckpt_dir, _CKPT_FILES[key])
     for key in _CKPT_FILES:
         if not os.path.exists(path(key)):
@@ -415,7 +364,7 @@ def load_model(ckpt_dir) -> ReaderModel:
     config = ReaderConfig(**raw)
     merges = MergeTable.load(path("merges"))
     vocab = Vocabulary.load(path("vocab"))
-    short_list, _ = load_short_list(path("shortlist"))
+    short_list = build_short_list(vocab, config.gamma)
     subwords = SubwordVocab.load(path("subwords"))
     model = ReaderModel(config, merges, subwords, vocab, short_list, seed=0)
     model.params.load_values(path("params"), path("manifest"))

@@ -5,6 +5,7 @@ learning rate that holds for two epochs then halves every epoch after.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -12,9 +13,10 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import ClozeExample
 from .neural import ParamStore
-from .reader import ReaderModel, answer, forward_batch
+from .reader import ForwardPass, ReaderModel, answer, forward_batch
 
 LOSS_FLOOR = 1e-12
+EVAL_CHUNK = 32
 
 
 @dataclass
@@ -63,10 +65,6 @@ def loss_node(pass_result, answer_word: str) -> Tensor:
     return ad.neg(ad.log_floored(ad.sum_at(pass_result.p, positions), LOSS_FLOOR))
 
 
-def loss(pass_result, answer_word: str) -> float:
-    return float(loss_node(pass_result, answer_word).data)
-
-
 def clip_gradients(
     grads: dict[str, np.ndarray], threshold: float
 ) -> dict[str, np.ndarray]:
@@ -83,10 +81,6 @@ def clip_gradients(
         return {name: g.copy() for name, g in grads.items()}
     factor = threshold / norm
     return {name: g * factor for name, g in grads.items()}
-
-
-def global_norm(grads: dict[str, np.ndarray]) -> float:
-    return float(np.sqrt(sum((g * g).sum() for g in grads.values())))
 
 
 def adam_step(
@@ -153,15 +147,34 @@ class TrainHistory:
         return isinstance(other, TrainHistory) and self.to_csv() == other.to_csv()
 
 
+def eval_passes(
+    model: ReaderModel, examples: list[ClozeExample]
+) -> Iterator[ForwardPass]:
+    """Each example's eval-mode pass, in order, run without a graph in
+    chunks of EVAL_CHUNK. Grad mode is off only inside each forward_batch
+    call, so the caller runs with its own mode between yields."""
+    for start in range(0, len(examples), EVAL_CHUNK):
+        with ad.no_grad():
+            passes = forward_batch(
+                model, examples[start : start + EVAL_CHUNK], mode="eval"
+            )
+        yield from passes
+
+
+def check_answerable(examples: list[ClozeExample]) -> None:
+    """Every example needs an answer that occurs in its document."""
+    for ex in examples:
+        if ex.answer is None:
+            raise ValueError(f"example {ex.id!r}: missing answer")
+        if ex.answer not in ex.document:
+            raise ValueError(
+                f"unanswerable example {ex.id!r}: answer not in document"
+            )
+
+
 def _accuracy(model: ReaderModel, examples: list[ClozeExample]) -> float:
-    correct = 0
-    with ad.no_grad():
-        for start in range(0, len(examples), 32):
-            chunk = examples[start : start + 32]
-            for fp, ex in zip(forward_batch(model, chunk, mode="eval"), chunk):
-                if answer(fp.dist) == ex.answer:
-                    correct += 1
-    return correct / len(examples)
+    passes = eval_passes(model, examples)
+    return sum(answer(fp.dist) == fp.example.answer for fp in passes) / len(examples)
 
 
 def train(
@@ -177,11 +190,8 @@ def train(
     """
     if not train_set or not valid_set:
         raise ValueError("train and valid sets must be non-empty")
-    for ex in train_set:
-        if ex.answer is None or ex.answer not in ex.document:
-            raise ValueError(
-                f"unanswerable example {ex.id!r}: answer must occur in the document"
-            )
+    check_answerable(train_set)
+    check_answerable(valid_set)
     state = AdamState(model.params)
     dropout_rng = np.random.default_rng([config.seed, 101])
     history = TrainHistory()

@@ -117,11 +117,6 @@ def build_short_list(vocab: Vocabulary, gamma: float) -> ShortList:
     return ShortList(vocab.words[:kept_n], gamma)
 
 
-def index_word(word: str, short_list: ShortList) -> int:
-    """Word index for embedding lookup; unknown words share the last index."""
-    return short_list.index(word)
-
-
 def index_subwords(
     word: str, table: MergeTable, subwords: SubwordVocab
 ) -> tuple[int, ...]:
@@ -137,21 +132,3 @@ def save_short_list(short_list: ShortList, vocab: Vocabulary, path) -> None:
         for word in vocab.words:
             fh.write(f"{word}\t{vocab.counts[word]}\n")
 
-
-def load_short_list(path) -> tuple[ShortList, Vocabulary]:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if not header.startswith("#gamma: "):
-            raise ValueError(f"bad short list header: {header!r}")
-        gamma = float(header[len("#gamma: ") :])
-        words: list[str] = []
-        counts: dict[str, int] = {}
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            word, count_str = line.split("\t")
-            words.append(word)
-            counts[word] = int(count_str)
-    vocab = Vocabulary(words, counts)
-    return build_short_list(vocab, gamma), vocab

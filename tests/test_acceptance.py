@@ -26,17 +26,18 @@ from sawreader.harness import (
     sweep_csv,
 )
 from sawreader.neural import grad_check
-from sawreader.reader import ReaderConfig, forward, forward_batch
+from sawreader.reader import ReaderConfig, forward_batch
 from sawreader.synth import SyntheticSpec, generate_synthetic
 from sawreader.training import (
     TrainConfig,
     clip_gradients,
-    global_norm,
     loss_node,
     lr_schedule,
     train,
 )
-from sawreader.vocab import index_subwords, index_word
+from sawreader.vocab import index_subwords
+
+from oracles import global_norm
 
 
 def _report(capsys, num: int, ok: bool, detail: str) -> None:
@@ -177,7 +178,8 @@ def test_criterion_3_end_to_end_gradients_match_finite_differences(capsys):
         model = new_model([example], config, seed=k)
 
         def objective():
-            return loss_node(forward(model, example, mode="train"), example.answer)
+            fp = forward_batch(model, [example], mode="train")[0]
+            return loss_node(fp, example.answer)
 
         # floor 1e-5: entries below that are compared absolutely, since
         # central differences cannot resolve 1e-10-scale entries relatively
@@ -333,7 +335,7 @@ def test_criterion_6_oov_answers_use_unk_word_and_spelling_subwords(capsys):
     oov_examples = [ex for ex in held_out if ex.answer not in model.short_list]
     assert oov_examples, "expected injected and filtered answers in held-out data"
     for ex in oov_examples:
-        assert index_word(ex.answer, model.short_list) == model.short_list.unk_index
+        assert model.short_list.index(ex.answer) == model.short_list.unk_index
         seg = segment_word(ex.answer, model.merges)
         assert "".join(seg.subwords) == ex.answer
         expected = tuple(model.subwords.lookup(unit) for unit in seg.subwords)

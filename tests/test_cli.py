@@ -127,13 +127,13 @@ def test_train_eval_predict_cycle(workspace, capsys):
         "reader.cfg",
         "merges.txt",
         "vocab.tsv",
-        "shortlist.tsv",
         "subwords.tsv",
         "params.bin",
         "params.manifest",
         "history.csv",
     ):
         assert (ckpt / name).exists(), name
+    assert not (ckpt / "shortlist.tsv").exists()
 
     per_example = tmp_path / "eval.csv"
     rc = main(

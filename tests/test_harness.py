@@ -16,7 +16,7 @@ from sawreader.harness import (
     sweep,
     sweep_csv,
 )
-from sawreader.reader import ReaderConfig
+from sawreader.reader import ReaderConfig, forward_batch
 from sawreader.synth import SyntheticSpec, generate_synthetic
 from sawreader.training import TrainConfig
 
@@ -165,6 +165,17 @@ def test_dump_attention_rows_and_prediction_match():
     assert text.count("\nalpha\t") == len(ex.document)
     assert text.count("\np\t") == len(ex.document)
     assert ex.document[best] in text
+
+
+def test_dump_attention_reads_the_forward_pass():
+    splits = _splits()
+    model = new_model(splits["train"], _config(num_layers=2))
+    ex = splits["test"][1]
+    fp = forward_batch(model, [ex], collect_attention=True)[0]
+    for layer in (1, 2):
+        dump = dump_attention(model, ex, layer=layer)
+        assert np.array_equal(dump.alpha, fp.alphas[layer - 1])
+        assert np.array_equal(dump.per_position, fp.dist.per_position)
 
 
 def test_dump_attention_layer_range():

@@ -14,17 +14,16 @@ from sawreader.autodiff import Tensor
 from sawreader.neural import (
     GruParams,
     ParamStore,
-    bigru,
     bigru_batch,
     bigru_finals,
-    dense,
     dropout,
     fan_scaled_init,
     grad_check,
-    gru_step,
     init_gru,
     uniform_init,
 )
+
+from oracles import bigru, gru_step
 
 
 def _zero_gru(input_dim, hidden_dim):
@@ -239,27 +238,6 @@ def test_bigru_single_sequence_api():
     assert np.array_equal(f1.data, one.data[0, :3])
     with pytest.raises(ValueError, match="empty"):
         bigru([], fwd, bwd)
-
-
-def test_dense_matches_triple_loop():
-    rng = np.random.default_rng(10)
-    w = Tensor(rng.standard_normal((3, 4)))
-    b = Tensor(rng.standard_normal(3))
-    x = Tensor(rng.standard_normal(4))
-    out = dense(x, w, b)
-    expected = np.zeros(3)
-    for i in range(3):
-        expected[i] = b.data[i]
-        for j in range(4):
-            expected[i] += w.data[i, j] * x.data[j]
-    assert np.allclose(out.data, expected, atol=1e-12)
-    rows = Tensor(rng.standard_normal((5, 4)))
-    out2 = dense(rows, w, b)
-    for r in range(5):
-        row_out = dense(Tensor(rows.data[r]), w, b)
-        assert np.allclose(out2.data[r], row_out.data, atol=1e-12)
-    with pytest.raises(ValueError, match="shape mismatch"):
-        dense(Tensor(np.zeros(5)), w, b)
 
 
 def test_dropout_eval_and_zero_rate_are_identity():

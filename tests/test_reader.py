@@ -15,20 +15,16 @@ from sawreader.reader import (
     ReaderConfig,
     ReaderModel,
     answer,
-    augment,
     augment_words,
     build_distribution,
-    encode,
-    forward,
     forward_batch,
     gated_attention_layer,
     load_model,
-    predict,
     save_model,
     subword_encode_batch,
 )
 from sawreader.training import loss_node
-from sawreader.vocab import index_subwords
+from sawreader.vocab import index_subwords, save_short_list
 
 
 def _examples():
@@ -127,9 +123,9 @@ def test_mul_with_ones_unk_row_passes_subword_branch_through():
     model.word_emb.data[model.short_list.unk_index] = 1.0
     word = next(w for w in model.vocab.words if w not in model.short_list)
     with ad.no_grad():
-        fused = augment(model, word)
+        fused = augment_words(model, [word])
         se = subword_encode_batch(model, [word])
-    assert np.array_equal(fused.data, se.data[0])
+    assert np.array_equal(fused.data[0], se.data[0])
 
 
 def test_fusion_operators_against_manual_branches():
@@ -179,22 +175,11 @@ def test_answer_tie_breaks_to_earliest_position():
     assert answer(dist) == "b"
 
 
-def test_predict_normalization_and_shape_check():
-    rng = np.random.default_rng(1)
-    h_doc = rng.standard_normal((6, 4))
-    q_t = rng.standard_normal(4)
-    dist = predict(h_doc, q_t, ["w%d" % i for i in range(6)])
-    assert dist.per_position.sum() == pytest.approx(1.0, abs=1e-12)
-    assert sum(dist.per_candidate.values()) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError, match="one row per document token"):
-        predict(h_doc, q_t, ["a", "b"])
-
-
 def test_forward_matches_forward_batch():
     model = _model(op="concat")
     examples = _examples()
     with ad.no_grad():
-        solo = [forward(model, ex) for ex in examples]
+        solo = [forward_batch(model, [ex])[0] for ex in examples]
         batch = forward_batch(model, examples)
     for fp_solo, fp_batch in zip(solo, batch):
         assert np.allclose(fp_solo.p.data, fp_batch.p.data, atol=1e-12)
@@ -205,7 +190,7 @@ def test_forward_normalization_and_attention_shapes():
     model = _model(op="sum", num_layers=2)
     ex = _examples()[0]
     with ad.no_grad():
-        fp = forward(model, ex, collect_attention=True)
+        fp = forward_batch(model, [ex], collect_attention=True)[0]
     assert fp.p.data.sum() == pytest.approx(1.0, abs=1e-12)
     assert len(fp.alphas) == 2
     for alpha in fp.alphas:
@@ -217,17 +202,17 @@ def test_forward_validates_examples_and_mode():
     model = _model()
     ex = _examples()[0]
     with pytest.raises(ValueError, match="unknown mode"):
-        forward(model, ex, mode="predict")
+        forward_batch(model, [ex], mode="predict")
     with pytest.raises(ValueError, match="empty batch"):
         forward_batch(model, [])
     no_blank = ClozeExample("b1", ("a", "b"), ("a", "b"), "a")
     with pytest.raises(ValueError, match="no placeholder"):
-        forward(model, no_blank)
+        forward_batch(model, [no_blank])
     two = ClozeExample("b2", ("a",), ("<blank>", "<blank>"), "a")
     with pytest.raises(ValueError, match="2 placeholders"):
-        forward(model, two)
+        forward_batch(model, [two])
     with pytest.raises(ValueError, match="needs an rng"):
-        forward(model, ex, mode="train")
+        forward_batch(model, [ex], mode="train")
 
 
 def test_dropout_applies_only_past_first_layer():
@@ -236,10 +221,10 @@ def test_dropout_applies_only_past_first_layer():
     one = _model(num_layers=1)
     rng_a = np.random.default_rng(7)
     rng_b = np.random.default_rng(7)
-    forward(one, ex, mode="train", rng=rng_a)
+    forward_batch(one, [ex], mode="train", rng=rng_a)
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
     two = _model(num_layers=2)
-    forward(two, ex, mode="train", rng=rng_a)
+    forward_batch(two, [ex], mode="train", rng=rng_a)
     assert rng_a.bit_generator.state != rng_b.bit_generator.state
 
 
@@ -247,22 +232,13 @@ def test_train_mode_dropout_changes_outputs_eval_does_not():
     model = _model(num_layers=2)
     ex = _examples()[0]
     with ad.no_grad():
-        eval_a = forward(model, ex).p.data
-        eval_b = forward(model, ex).p.data
-        train_a = forward(model, ex, mode="train", rng=np.random.default_rng(1)).p.data
-        train_b = forward(model, ex, mode="train", rng=np.random.default_rng(2)).p.data
+        eval_a = forward_batch(model, [ex])[0].p.data
+        eval_b = forward_batch(model, [ex])[0].p.data
+        rng_1, rng_2 = np.random.default_rng(1), np.random.default_rng(2)
+        train_a = forward_batch(model, [ex], mode="train", rng=rng_1)[0].p.data
+        train_b = forward_batch(model, [ex], mode="train", rng=rng_2)[0].p.data
     assert np.array_equal(eval_a, eval_b)
     assert not np.array_equal(train_a, train_b)
-
-
-def test_encode_shape():
-    model = _model(op="mul")
-    layer = model.layers[0]
-    with ad.no_grad():
-        h = encode(model, ["mira", "took", "the"], layer.query_fwd, layer.query_bwd)
-    assert h.shape == (3, 2 * model.config.hidden)
-    with pytest.raises(ValueError, match="empty token sequence"):
-        encode(model, [], layer.query_fwd, layer.query_bwd)
 
 
 def test_end_to_end_loss_gradient_small():
@@ -272,7 +248,7 @@ def test_end_to_end_loss_gradient_small():
     ex = _examples()[0]
 
     def objective():
-        return loss_node(forward(model, ex), ex.answer)
+        return loss_node(forward_batch(model, [ex])[0], ex.answer)
 
     assert neural.grad_check(objective, model.params, eps=1e-5, floor=1e-5) < 1e-4
 
@@ -281,7 +257,7 @@ def test_checkpoint_round_trip(tmp_path):
     model = _model(op="concat", num_layers=2)
     examples = _examples()
     with ad.no_grad():
-        before = [forward(model, ex) for ex in examples]
+        before = [forward_batch(model, [ex])[0] for ex in examples]
     ckpt = tmp_path / "ckpt"
     save_model(model, ckpt)
     loaded = load_model(ckpt)
@@ -293,11 +269,41 @@ def test_checkpoint_round_trip(tmp_path):
         (r.left, r.right) for r in model.merges.rules
     ]
     with ad.no_grad():
-        after = [forward(loaded, ex) for ex in examples]
+        after = [forward_batch(loaded, [ex])[0] for ex in examples]
     for fp_a, fp_b in zip(before, after):
         # parameters are stored in float32, so allow that quantization
         assert np.allclose(fp_a.p.data, fp_b.p.data, atol=1e-5)
         assert answer(fp_a.dist) == answer(fp_b.dist)
+
+
+def test_checkpoint_refits_short_list_from_vocab(tmp_path):
+    model = _model(gamma=0.4)
+    ckpt = tmp_path / "ckpt"
+    save_model(model, ckpt)
+    assert not (ckpt / "shortlist.tsv").exists()
+    loaded = load_model(ckpt)
+    assert loaded.short_list.kept == model.short_list.kept
+    assert loaded.short_list.gamma == model.short_list.gamma
+
+
+def test_load_model_ignores_older_shortlist_file(tmp_path):
+    # older checkpoints also hold shortlist.tsv; it repeats vocab.tsv
+    model = _model(op="sum", gamma=0.4)
+    new_ckpt, old_ckpt = tmp_path / "new", tmp_path / "old"
+    save_model(model, new_ckpt)
+    save_model(model, old_ckpt)
+    save_short_list(model.short_list, model.vocab, old_ckpt / "shortlist.tsv")
+    new, old = load_model(new_ckpt), load_model(old_ckpt)
+    assert old.short_list.kept == new.short_list.kept
+    assert old.short_list.gamma == new.short_list.gamma
+    for name, t in new.params.items():
+        assert np.array_equal(old.params[name].data, t.data)
+    examples = _examples()
+    with ad.no_grad():
+        for fp_new, fp_old in zip(
+            forward_batch(new, examples), forward_batch(old, examples)
+        ):
+            assert np.array_equal(fp_new.p.data, fp_old.p.data)
 
 
 def test_load_model_missing_file(tmp_path):

@@ -1,5 +1,8 @@
 """Optimizer arithmetic, clipping, the lr schedule, and the train loop."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -15,12 +18,13 @@ from sawreader.training import (
     TrainHistory,
     adam_step,
     clip_gradients,
-    global_norm,
-    loss,
+    eval_passes,
     loss_node,
     lr_schedule,
     train,
 )
+
+from oracles import global_norm, loss
 
 
 def test_lr_schedule_holds_then_halves():
@@ -173,6 +177,47 @@ def test_train_validates_inputs():
     bad = ClozeExample("bad", ("a", "b"), ("<blank>", "b"), "zzz")
     with pytest.raises(ValueError, match="unanswerable example 'bad'"):
         train(model, [bad], examples, config)
+
+
+def test_train_validates_valid_set():
+    model, examples = _tiny_setup()
+    config = TrainConfig(batch_size=2, epochs=1)
+    bad = ClozeExample("bad-valid", ("a", "b"), ("<blank>", "b"), "zzz")
+    with pytest.raises(ValueError, match="unanswerable example 'bad-valid'"):
+        train(model, examples, examples + [bad], config)
+    missing = ClozeExample("no-answer", ("a", "b"), ("<blank>", "b"), None)
+    with pytest.raises(ValueError, match="example 'no-answer': missing answer"):
+        train(model, examples, [missing], config)
+
+
+def test_backward_frees_graph_without_cyclic_collector():
+    model, examples = _tiny_setup()
+    gc.disable()
+    try:
+        passes = forward_batch(model, examples)
+        losses = [loss_node(fp, ex.answer) for fp, ex in zip(passes, examples)]
+        total = ad.mean_of(losses)
+        # the array of an intermediate node: the pre-softmax match scores
+        probe = weakref.ref(passes[0].p._parents[0].data)
+        total.backward()
+        del passes, losses, total
+        assert probe() is None
+    finally:
+        gc.enable()
+    assert all(t.grad is not None for _, t in model.params.items())
+
+
+def test_eval_passes_restore_grad_mode_between_yields():
+    model, examples = _tiny_setup()
+    seen = []
+    for fp in eval_passes(model, examples * 20):
+        assert ad.grad_enabled()
+        assert fp.p._backward is None
+        seen.append(fp.example)
+        if len(seen) == 40:
+            break
+    assert ad.grad_enabled()
+    assert seen == (examples * 20)[:40]
 
 
 def test_train_history_rows_and_determinism():

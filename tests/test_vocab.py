@@ -10,8 +10,6 @@ from sawreader.vocab import (
     build_short_list,
     build_vocab,
     index_subwords,
-    index_word,
-    load_short_list,
     save_short_list,
 )
 
@@ -72,9 +70,9 @@ def test_short_list_gamma_validation():
 def test_index_word_maps_filtered_to_unk():
     vocab = build_vocab([tuple("aaabbc")])
     short = build_short_list(vocab, 2 / 3)
-    assert index_word("a", short) == 0
-    assert index_word("c", short) == short.unk_index
-    assert index_word("never-seen", short) == short.unk_index
+    assert short.index("a") == 0
+    assert short.index("c") == short.unk_index
+    assert short.index("never-seen") == short.unk_index
 
 
 def test_subword_indices_ignore_short_list_membership():
@@ -127,17 +125,15 @@ def test_short_list_round_trip(tmp_path):
     short = build_short_list(vocab, 2 / 3)
     path = tmp_path / "shortlist.tsv"
     save_short_list(short, vocab, path)
-    loaded_short, loaded_vocab = load_short_list(path)
-    assert loaded_short.kept == short.kept
-    assert loaded_short.gamma == short.gamma
+    header, body = path.read_text().split("\n", 1)
+    assert header == f"#gamma: {short.gamma!r}"
+    # the body is vocab.tsv line for line, so vocab plus gamma rebuild the list
+    vocab_path = tmp_path / "vocab.tsv"
+    vocab_path.write_text(body)
+    loaded_vocab = Vocabulary.load(vocab_path)
     assert loaded_vocab.words == vocab.words
-
-
-def test_short_list_load_rejects_bad_header(tmp_path):
-    path = tmp_path / "shortlist.tsv"
-    path.write_text("a\t1\n")
-    with pytest.raises(ValueError, match="header"):
-        load_short_list(path)
+    gamma = float(header[len("#gamma: ") :])
+    assert build_short_list(loaded_vocab, gamma).kept == short.kept
 
 
 def test_short_list_direct_constructor():
