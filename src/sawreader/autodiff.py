@@ -89,18 +89,6 @@ class Tensor:
             node._backward = None
             node._parents = ()
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -228,30 +216,6 @@ def transpose(a: Tensor) -> Tensor:
 
     def backward():
         accumulate(a, out.grad.T)
-
-    return _record(out, (a,), backward)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    # exp(-|x|) is in (0, 1], so neither branch can overflow
-    t = np.exp(-np.abs(a.data))
-    out = Tensor(np.where(a.data >= 0, 1.0 / (1.0 + t), t / (1.0 + t)))
-    if not _needs(a):
-        return out
-
-    def backward():
-        accumulate(a, out.grad * out.data * (1.0 - out.data))
-
-    return _record(out, (a,), backward)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = Tensor(np.tanh(a.data))
-    if not _needs(a):
-        return out
-
-    def backward():
-        accumulate(a, out.grad * (1.0 - out.data * out.data))
 
     return _record(out, (a,), backward)
 

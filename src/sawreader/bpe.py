@@ -271,13 +271,14 @@ class SubwordVocab:
 def build_subword_vocab(words: WordFreqTable, table: MergeTable) -> SubwordVocab:
     """Every corpus character, every merge product, plus the reserved unknown.
 
-    Merge products are included even when later merges absorb them in every
-    final segmentation, so the vocabulary size is exactly the number of
-    single-character types plus the number of effective merges plus one.
+    Every unit segment_word yields is a character or a merge product, so no
+    word needs segmenting here. Merge products are included even when later
+    merges absorb them in every final segmentation, so the vocabulary size is
+    exactly the number of single-character types plus the number of
+    effective merges plus one.
     """
     units: set[str] = set()
     for word in words.entries:
         units.update(word)
-        units.update(segment_word(word, table).subwords)
     units.update(rule.product for rule in table.rules)
     return SubwordVocab(sorted(units))

@@ -1,4 +1,4 @@
-"""GRU recurrences, parameter storage, dropout, and gradient checking.
+"""GRU recurrences, parameter storage, and dropout.
 
 The BiGRU is implemented as one fused tape node per direction: the whole
 batched sequence scan runs in numpy, and the hand-derived backward replays
@@ -9,6 +9,7 @@ differences in the test suite.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,34 +19,25 @@ from .autodiff import Tensor
 
 INIT_SCALE = 0.05
 
-# creation order is fixed: checkpoints and rng draws depend on it
-_GRU_FIELDS = ("W_r", "W_z", "W_h", "U_r", "U_z", "U_h", "b_r", "b_z", "b_h")
-
 
 @dataclass
 class GruParams:
-    """One direction's gate weights: W_* act on the input, U_* on the state."""
+    """One direction's gate weights, stacked in the gate order r, z, h.
 
-    W_r: Tensor
-    W_z: Tensor
-    W_h: Tensor
-    U_r: Tensor
-    U_z: Tensor
-    U_h: Tensor
-    b_r: Tensor
-    b_z: Tensor
-    b_h: Tensor
+    W (3h, in) acts on the input, U (3h, h) on the state, b (3h,) is the bias.
+    """
+
+    W: Tensor
+    U: Tensor
+    b: Tensor
 
     @property
     def input_dim(self) -> int:
-        return self.W_r.shape[1]
+        return self.W.shape[1]
 
     @property
     def hidden_dim(self) -> int:
-        return self.W_r.shape[0]
-
-    def fields(self) -> list[tuple[str, Tensor]]:
-        return [(name, getattr(self, name)) for name in _GRU_FIELDS]
+        return self.U.shape[1]
 
 
 class ParamStore:
@@ -91,41 +83,63 @@ class ParamStore:
         return sum(t.data.size for t in self._params.values())
 
     def save(self, bin_path, manifest_path) -> None:
-        """Flat little-endian float32 blob plus a name/shape manifest."""
+        """Flat little-endian float64 blob plus a name/shape manifest."""
         with open(bin_path, "wb") as fh:
             for t in self._params.values():
-                fh.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+                fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
         with open(manifest_path, "w", encoding="utf-8") as fh:
             for name, t in self._params.items():
                 dims = ",".join(str(d) for d in t.data.shape)
                 fh.write(f"{name}\t{dims}\n")
 
     def load_values(self, bin_path, manifest_path) -> None:
-        """Overwrite parameter values; names and shapes must match exactly."""
-        entries: list[tuple[str, tuple[int, ...]]] = []
+        """Overwrite parameter values; names and shapes must match exactly.
+
+        The values become views of one buffer read from the blob.
+        """
+        man = os.path.basename(manifest_path)
+        entries: list[tuple[int, str, tuple[int, ...]]] = []
         with open(manifest_path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                name, dims = line.split("\t")
-                shape = tuple(int(d) for d in dims.split(",")) if dims else ()
-                entries.append((name, shape))
-        if [name for name, _ in entries] != self.names():
-            raise ValueError("checkpoint manifest does not match parameter set")
-        raw = np.fromfile(bin_path, dtype="<f4")
+                try:
+                    name, dims = line.split("\t")
+                    shape = tuple(int(d) for d in dims.split(",")) if dims else ()
+                except ValueError:
+                    raise ValueError(
+                        f"{man} line {lineno}: expected name<TAB>dims, got {line!r}"
+                    ) from None
+                entries.append((lineno, name, shape))
+        expected = self.names()
+        for i, (lineno, name, shape) in enumerate(entries):
+            if i >= len(expected) or name != expected[i]:
+                raise ValueError(
+                    f"{man} line {lineno}: manifest does not match the "
+                    f"parameter set: unexpected name {name!r}"
+                )
+            if shape != self._params[name].data.shape:
+                raise ValueError(f"{man} line {lineno}: shape mismatch for {name}")
+        if len(entries) < len(expected):
+            raise ValueError(
+                f"{man}: manifest does not match the parameter set: "
+                f"missing {expected[len(entries)]!r}"
+            )
+        total = self.num_values()
+        size = os.path.getsize(bin_path)
+        if size != 8 * total:
+            relation = "shorter" if size < 8 * total else "longer"
+            raise ValueError(
+                f"{os.path.basename(bin_path)} is {relation} than {man} "
+                f"describes: {size} bytes for {total} float64 values"
+            )
+        raw = np.fromfile(bin_path, dtype="<f8").astype(np.float64, copy=False)
         offset = 0
-        for name, shape in entries:
-            t = self._params[name]
-            if shape != t.data.shape:
-                raise ValueError(f"checkpoint shape mismatch for {name}")
+        for t in self._params.values():
             n = t.data.size
-            if offset + n > raw.size:
-                raise ValueError("checkpoint binary is shorter than manifest")
-            t.data = raw[offset : offset + n].astype(np.float64).reshape(shape)
+            t.data = raw[offset : offset + n].reshape(t.data.shape)
             offset += n
-        if offset != raw.size:
-            raise ValueError("checkpoint binary is longer than manifest")
 
 
 def uniform_init(rng: np.random.Generator, shape, scale: float = INIT_SCALE):
@@ -151,50 +165,19 @@ def init_gru(
     hidden_dim: int,
     rng: np.random.Generator,
 ) -> GruParams:
-    """Fan-scaled uniform gate weights, biases zero."""
-    shapes = {
-        "W_r": (hidden_dim, input_dim),
-        "W_z": (hidden_dim, input_dim),
-        "W_h": (hidden_dim, input_dim),
-        "U_r": (hidden_dim, hidden_dim),
-        "U_z": (hidden_dim, hidden_dim),
-        "U_h": (hidden_dim, hidden_dim),
-    }
-    tensors = {}
-    for name in _GRU_FIELDS:
-        if name.startswith("b_"):
-            tensors[name] = store.add(f"{prefix}/{name}", np.zeros(hidden_dim))
-        else:
-            tensors[name] = store.add(
-                f"{prefix}/{name}", fan_scaled_init(rng, shapes[name])
-            )
-    return GruParams(**tensors)
+    """Fan-scaled uniform gate weights, biases zero.
 
-
-def _gru_scan(x3, mask, p: GruParams, reverse: bool):
-    """Masked batched scan in one direction. Returns outputs and step cache."""
-    batch, steps, _ = x3.shape
-    hid = p.hidden_dim
-    w_r, w_z, w_h = p.W_r.data, p.W_z.data, p.W_h.data
-    u_r, u_z, u_h = p.U_r.data, p.U_z.data, p.U_h.data
-    b_r, b_z, b_h = p.b_r.data, p.b_z.data, p.b_h.data
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
-    out = np.zeros((batch, steps, hid))
-    h = np.zeros((batch, hid))
-    cache = []
-    for t in order:
-        x = x3[:, t, :]
-        r = _expit(x @ w_r.T + h @ u_r.T + b_r)
-        z = _expit(x @ w_z.T + h @ u_z.T + b_z)
-        rh = r * h
-        h_cand = np.tanh(x @ w_h.T + rh @ u_h.T + b_h)
-        h_gru = (1.0 - z) * h + z * h_cand
-        m = mask[:, t : t + 1]
-        h_new = m * h_gru + (1.0 - m) * h
-        out[:, t, :] = h_new
-        cache.append((t, h, r, z, rh, h_cand))
-        h = h_new
-    return out, cache
+    Each gate block gets its own (hidden, in) or (hidden, hidden) fan limit
+    and draw; the draw order (the r, z, h blocks of W, then those of U) is
+    fixed, since seeded initial values depend on it.
+    """
+    w = [fan_scaled_init(rng, (hidden_dim, input_dim)) for _ in range(3)]
+    u = [fan_scaled_init(rng, (hidden_dim, hidden_dim)) for _ in range(3)]
+    return GruParams(
+        W=store.add(f"{prefix}/W", np.concatenate(w)),
+        U=store.add(f"{prefix}/U", np.concatenate(u)),
+        b=store.add(f"{prefix}/b", np.zeros(3 * hidden_dim)),
+    )
 
 
 def _expit(x):
@@ -202,41 +185,77 @@ def _expit(x):
     return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
 
 
-def _gru_scan_backward(d_out, x3, mask, p: GruParams, cache):
-    """Backpropagate through one direction's scan; returns dX and param grads."""
-    w_r, w_z, w_h = p.W_r.data, p.W_z.data, p.W_h.data
-    u_r, u_z, u_h = p.U_r.data, p.U_z.data, p.U_h.data
-    dx3 = np.zeros_like(x3)
-    grads = {name: np.zeros_like(getattr(p, name).data) for name in _GRU_FIELDS}
-    dh = np.zeros((x3.shape[0], p.hidden_dim))
-    for t, h_prev, r, z, rh, h_cand in reversed(cache):
-        x = x3[:, t, :]
+def _gru_scan(x3, mask, p: GruParams, reverse: bool):
+    """Masked batched scan in one direction.
+
+    The input projection is one GEMM over all steps; the time loop does only
+    the recurrence. Returns the (B, T, h) states and the (B, T, 3h) gate
+    activations r, z and the candidate state, which the backward replays.
+    """
+    batch, steps, in_dim = x3.shape
+    hid = p.hidden_dim
+    u_rz, u_cand = p.U.data[: 2 * hid], p.U.data[2 * hid :]
+    b_rz, b_cand = p.b.data[: 2 * hid], p.b.data[2 * hid :]
+    # every step's input projection; each step overwrites its own slot with
+    # its gate activations once it has read it
+    gates = (x3.reshape(-1, in_dim) @ p.W.data.T).reshape(batch, steps, 3 * hid)
+    out = np.empty((batch, steps, hid))
+    h = np.zeros((batch, hid))
+    for t in range(steps - 1, -1, -1) if reverse else range(steps):
+        g = gates[:, t, :]
+        rz = _expit(g[:, : 2 * hid] + h @ u_rz.T + b_rz)
+        r, z = rz[:, :hid], rz[:, hid:]
+        h_cand = np.tanh(g[:, 2 * hid :] + (r * h) @ u_cand.T + b_cand)
+        m = mask[:, t : t + 1]
+        h = m * ((1.0 - z) * h + z * h_cand) + (1.0 - m) * h
+        out[:, t, :] = h
+        g[:, : 2 * hid] = rz
+        g[:, 2 * hid :] = h_cand
+    return out, gates
+
+
+def _gru_scan_backward(d_out, x3, mask, p: GruParams, out, gates, reverse: bool):
+    """Backpropagate through one direction's scan; returns (dx, dW, dU, db).
+
+    The loop fills the stacked pre-activation deltas (B, T, 3h); the weight,
+    bias and input gradients are then one GEMM or sum each over all steps.
+    """
+    batch, steps, in_dim = x3.shape
+    hid = p.hidden_dim
+    u_rz, u_cand = p.U.data[: 2 * hid], p.U.data[2 * hid :]
+    # the state each step read: the previous step's output in scan order
+    h_prev_all = np.zeros_like(out)
+    if reverse:
+        h_prev_all[:, :-1] = out[:, 1:]
+    else:
+        h_prev_all[:, 1:] = out[:, :-1]
+    da = np.empty((batch, steps, 3 * hid))
+    dh = np.zeros((batch, hid))
+    for t in range(steps) if reverse else range(steps - 1, -1, -1):
+        h_prev = h_prev_all[:, t]
+        r, z, h_cand = (gates[:, t, i * hid : (i + 1) * hid] for i in range(3))
         m = mask[:, t : t + 1]
         dh_total = d_out[:, t, :] + dh
         dh_gru = m * dh_total
-        dh_prev = (1.0 - m) * dh_total
-        dz = dh_gru * (h_cand - h_prev)
-        dh_cand = dh_gru * z
-        dh_prev += dh_gru * (1.0 - z)
-        da_h = dh_cand * (1.0 - h_cand * h_cand)
-        grads["W_h"] += da_h.T @ x
-        grads["U_h"] += da_h.T @ rh
-        grads["b_h"] += da_h.sum(axis=0)
-        drh = da_h @ u_h
-        dr = drh * h_prev
-        dh_prev += drh * r
-        da_r = dr * r * (1.0 - r)
-        da_z = dz * z * (1.0 - z)
-        grads["W_r"] += da_r.T @ x
-        grads["U_r"] += da_r.T @ h_prev
-        grads["b_r"] += da_r.sum(axis=0)
-        grads["W_z"] += da_z.T @ x
-        grads["U_z"] += da_z.T @ h_prev
-        grads["b_z"] += da_z.sum(axis=0)
-        dh_prev += da_r @ u_r + da_z @ u_z
-        dx3[:, t, :] += da_r @ w_r + da_z @ w_z + da_h @ w_h
-        dh = dh_prev
-    return dx3, grads
+        dh = (1.0 - m) * dh_total + dh_gru * (1.0 - z)
+        da_h = dh_gru * z * (1.0 - h_cand * h_cand)
+        drh = da_h @ u_cand
+        dh += drh * r
+        da[:, t, :hid] = drh * h_prev * r * (1.0 - r)
+        da[:, t, hid : 2 * hid] = dh_gru * (h_cand - h_prev) * z * (1.0 - z)
+        da[:, t, 2 * hid :] = da_h
+        dh += da[:, t, : 2 * hid] @ u_rz
+    flat = da.reshape(-1, 3 * hid)
+    dx = (flat @ p.W.data).reshape(x3.shape)
+    dw = flat.T @ x3.reshape(-1, in_dim)
+    rh = gates[:, :, :hid] * h_prev_all
+    du = np.concatenate(
+        [
+            flat[:, : 2 * hid].T @ h_prev_all.reshape(-1, hid),
+            flat[:, 2 * hid :].T @ rh.reshape(-1, hid),
+        ]
+    )
+    return dx, dw, du, flat.sum(axis=0)
 
 
 def bigru_batch(
@@ -263,12 +282,10 @@ def bigru_batch(
     mask = (np.arange(steps)[None, :] < lengths[:, None]).astype(np.float64)
     # backward direction: start the reverse scan at each row's own last token
     # by masking, so padding never contaminates the state
-    out_f, cache_f = _gru_scan(x.data, mask, fwd, reverse=False)
-    out_b, cache_b = _gru_scan(x.data, mask, bwd, reverse=True)
+    out_f, gates_f = _gru_scan(x.data, mask, fwd, reverse=False)
+    out_b, gates_b = _gru_scan(x.data, mask, bwd, reverse=True)
     out = Tensor(np.concatenate([out_f, out_b], axis=2))
-    parents = [x]
-    for p in (fwd, bwd):
-        parents.extend(t for _, t in p.fields())
+    parents = (x, fwd.W, fwd.U, fwd.b, bwd.W, bwd.U, bwd.b)
     if not ad._needs(*parents):
         return out
 
@@ -276,20 +293,20 @@ def bigru_batch(
 
     def backward():
         g = out.grad
-        dx_f, grads_f = _gru_scan_backward(
-            g[:, :, :hid], x.data, mask, fwd, cache_f
+        dx_f, *grads_f = _gru_scan_backward(
+            g[:, :, :hid], x.data, mask, fwd, out.data[:, :, :hid], gates_f, False
         )
-        dx_b, grads_b = _gru_scan_backward(
-            g[:, :, hid:], x.data, mask, bwd, cache_b
+        dx_b, *grads_b = _gru_scan_backward(
+            g[:, :, hid:], x.data, mask, bwd, out.data[:, :, hid:], gates_b, True
         )
         if x.requires_grad:
             ad.accumulate(x, dx_f + dx_b)
         for p, grads in ((fwd, grads_f), (bwd, grads_b)):
-            for name, t in p.fields():
+            for t, grad in zip((p.W, p.U, p.b), grads):
                 if t.requires_grad:
-                    ad.accumulate(t, grads[name])
+                    ad.accumulate(t, grad)
 
-    return ad._record(out, tuple(parents), backward)
+    return ad._record(out, parents, backward)
 
 
 def bigru_finals(h: Tensor, lengths: np.ndarray) -> Tensor:
@@ -332,53 +349,3 @@ def dropout(
     keep = rng.random(x.shape) >= rate
     mask = keep.astype(np.float64) / (1.0 - rate)
     return ad.mul(x, Tensor(mask))
-
-
-def grad_check(
-    objective,
-    params: ParamStore,
-    eps: float = 1e-5,
-    analytic: dict[str, np.ndarray] | None = None,
-    floor: float = 1e-8,
-) -> float:
-    """Max relative error between tape gradients and central differences.
-
-    `objective` is a zero-argument callable that rebuilds the graph from the
-    current parameter values and returns a scalar Tensor. Pass `analytic` to
-    check externally supplied gradients instead of running backward().
-
-    The error per coordinate is |a - n| / max(|a|, |n|, floor). The floor
-    sets the gradient magnitude below which disagreement counts as absolute:
-    central differences on an order-one objective carry ~1e-11 of absolute
-    noise from cancellation, so checks over deep compositions whose smallest
-    gradient entries sit near zero need a floor around 1e-5 for the relative
-    tolerance to be meaningful.
-    """
-    if analytic is None:
-        params.zero_grads()
-        out = objective()
-        if out.data.size != 1 or not np.isfinite(out.data).all():
-            raise ValueError("grad_check: objective must return a finite scalar")
-        out.backward()
-        analytic = {
-            name: np.array(t.grad if t.grad is not None else np.zeros_like(t.data))
-            for name, t in params.items()
-        }
-    worst = 0.0
-    with ad.no_grad():
-        for name, t in params.items():
-            flat = t.data.reshape(-1)
-            a_flat = np.asarray(analytic[name]).reshape(-1)
-            for j in range(flat.size):
-                saved = flat[j]
-                flat[j] = saved + eps
-                f_plus = float(objective().data)
-                flat[j] = saved - eps
-                f_minus = float(objective().data)
-                flat[j] = saved
-                if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                    raise ValueError("grad_check: non-finite objective value")
-                numeric = (f_plus - f_minus) / (2.0 * eps)
-                denom = max(abs(a_flat[j]), abs(numeric), floor)
-                worst = max(worst, abs(a_flat[j] - numeric) / denom)
-    return worst

@@ -25,7 +25,6 @@ from sawreader.harness import (
     sweep,
     sweep_csv,
 )
-from sawreader.neural import grad_check
 from sawreader.reader import ReaderConfig, forward_batch
 from sawreader.synth import SyntheticSpec, generate_synthetic
 from sawreader.training import (
@@ -37,7 +36,7 @@ from sawreader.training import (
 )
 from sawreader.vocab import index_subwords
 
-from oracles import global_norm
+from oracles import global_norm, grad_check
 
 
 def _report(capsys, num: int, ok: bool, detail: str) -> None:

@@ -6,7 +6,7 @@ import pytest
 from sawreader import autodiff as ad
 from sawreader.autodiff import Tensor
 
-from oracles import scale, slice1d, stack_rows, sub
+from oracles import grad_check, scale, sigmoid, slice1d, stack_rows, sub, tanh
 
 
 def _weighted_sum(t, weights):
@@ -17,35 +17,8 @@ def _weighted_sum(t, weights):
     return ad.sum_at(ad.mul(flat, w), np.arange(flat.data.size))
 
 
-def _check_grads(objective, leaves, eps=1e-6, tol=1e-7):
-    """Max relative error between backward() and central differences.
-
-    The objective must be deterministic: it is re-evaluated many times.
-    """
-    for t in leaves:
-        t.grad = None
-    out = objective()
-    out.backward()
-    analytic = [
-        np.array(t.grad) if t.grad is not None else np.zeros_like(t.data)
-        for t in leaves
-    ]
-    worst = 0.0
-    with ad.no_grad():
-        for t, a in zip(leaves, analytic):
-            flat = t.data.reshape(-1)
-            a_flat = a.reshape(-1)
-            for j in range(flat.size):
-                saved = flat[j]
-                flat[j] = saved + eps
-                f_plus = float(objective().data)
-                flat[j] = saved - eps
-                f_minus = float(objective().data)
-                flat[j] = saved
-                numeric = (f_plus - f_minus) / (2.0 * eps)
-                denom = max(abs(a_flat[j]), abs(numeric), 1e-8)
-                worst = max(worst, abs(a_flat[j] - numeric) / denom)
-    assert worst < tol, f"max relative error {worst}"
+# every finite-difference check here uses these
+EPS, TOL = 1e-6, 1e-7
 
 
 def _leaf(rng, *shape):
@@ -63,11 +36,11 @@ def test_add_sub_mul_neg_scale_grads():
     a = _leaf(RNG, 3, 2)
     b = _leaf(RNG, 3, 2)
     w = _fixed(6)
-    _check_grads(lambda: _weighted_sum(ad.add(a, b), w), [a, b])
-    _check_grads(lambda: _weighted_sum(sub(a, b), w), [a, b])
-    _check_grads(lambda: _weighted_sum(ad.mul(a, b), w), [a, b])
-    _check_grads(lambda: _weighted_sum(ad.neg(a), w), [a])
-    _check_grads(lambda: _weighted_sum(scale(a, -1.7), w), [a])
+    assert grad_check(lambda: _weighted_sum(ad.add(a, b), w), [a, b], eps=EPS) < TOL
+    assert grad_check(lambda: _weighted_sum(sub(a, b), w), [a, b], eps=EPS) < TOL
+    assert grad_check(lambda: _weighted_sum(ad.mul(a, b), w), [a, b], eps=EPS) < TOL
+    assert grad_check(lambda: _weighted_sum(ad.neg(a), w), [a], eps=EPS) < TOL
+    assert grad_check(lambda: _weighted_sum(scale(a, -1.7), w), [a], eps=EPS) < TOL
 
 
 def test_elementwise_shape_mismatch():
@@ -83,8 +56,8 @@ def test_matmul_grads_and_errors():
     b = _leaf(RNG, 4, 2)
     v = _leaf(RNG, 4)
     w6, w3 = _fixed(6), _fixed(3)
-    _check_grads(lambda: _weighted_sum(ad.matmul(a, b), w6), [a, b])
-    _check_grads(lambda: _weighted_sum(ad.matmul(a, v), w3), [a, v])
+    assert grad_check(lambda: _weighted_sum(ad.matmul(a, b), w6), [a, b], eps=EPS) < TOL
+    assert grad_check(lambda: _weighted_sum(ad.matmul(a, v), w3), [a, v], eps=EPS) < TOL
     with pytest.raises(ValueError, match="inner dim"):
         ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
     with pytest.raises(ValueError, match="unsupported ranks"):
@@ -98,7 +71,8 @@ def test_affine_matches_manual_and_grads():
     out = ad.affine(x, w, b)
     assert np.allclose(out.data, x.data @ w.data.T + b.data, atol=1e-15)
     w10 = _fixed(10)
-    _check_grads(lambda: _weighted_sum(ad.affine(x, w, b), w10), [x, w, b])
+    objective = lambda: _weighted_sum(ad.affine(x, w, b), w10)
+    assert grad_check(objective, [x, w, b], eps=EPS) < TOL
     with pytest.raises(ValueError, match="shape mismatch"):
         ad.affine(x, w, Tensor(np.zeros(3)))
 
@@ -106,12 +80,12 @@ def test_affine_matches_manual_and_grads():
 def test_transpose_grads():
     a = _leaf(RNG, 2, 5)
     w = _fixed(10)
-    _check_grads(lambda: _weighted_sum(ad.transpose(a), w), [a])
+    assert grad_check(lambda: _weighted_sum(ad.transpose(a), w), [a], eps=EPS) < TOL
 
 
 def test_sigmoid_values_and_stability():
     x = Tensor(np.array([0.0, -1000.0, 1000.0]))
-    y = ad.sigmoid(x)
+    y = sigmoid(x)
     assert np.isfinite(y.data).all()
     assert y.data[0] == pytest.approx(0.5)
     assert y.data[1] == pytest.approx(0.0, abs=1e-12)
@@ -121,8 +95,8 @@ def test_sigmoid_values_and_stability():
 def test_sigmoid_tanh_grads():
     a = _leaf(RNG, 7)
     w = _fixed(7)
-    _check_grads(lambda: _weighted_sum(ad.sigmoid(a), w), [a])
-    _check_grads(lambda: _weighted_sum(ad.tanh(a), w), [a])
+    assert grad_check(lambda: _weighted_sum(sigmoid(a), w), [a], eps=EPS) < TOL
+    assert grad_check(lambda: _weighted_sum(tanh(a), w), [a], eps=EPS) < TOL
 
 
 def test_softmax_known_values():
@@ -139,10 +113,10 @@ def test_softmax_rows_and_grads():
     y = ad.softmax(a)
     assert np.allclose(y.data.sum(axis=1), 1.0, atol=1e-12)
     w12 = _fixed(12)
-    _check_grads(lambda: _weighted_sum(ad.softmax(a), w12), [a])
+    assert grad_check(lambda: _weighted_sum(ad.softmax(a), w12), [a], eps=EPS) < TOL
     v = _leaf(RNG, 5)
     w5 = _fixed(5)
-    _check_grads(lambda: _weighted_sum(ad.softmax(v), w5), [v])
+    assert grad_check(lambda: _weighted_sum(ad.softmax(v), w5), [v], eps=EPS) < TOL
 
 
 def test_softmax_rejects_nan_and_bad_rank():
@@ -157,8 +131,10 @@ def test_concat_grads_both_axes():
     b = _leaf(RNG, 4, 3)
     c = _leaf(RNG, 2, 2)
     w18, w10 = _fixed(18), _fixed(10)
-    _check_grads(lambda: _weighted_sum(ad.concat([a, b], axis=0), w18), [a, b])
-    _check_grads(lambda: _weighted_sum(ad.concat([a, c], axis=1), w10), [a, c])
+    objective = lambda: _weighted_sum(ad.concat([a, b], axis=0), w18)
+    assert grad_check(objective, [a, b], eps=EPS) < TOL
+    objective = lambda: _weighted_sum(ad.concat([a, c], axis=1), w10)
+    assert grad_check(objective, [a, c], eps=EPS) < TOL
     with pytest.raises(ValueError, match="empty"):
         ad.concat([])
 
@@ -167,13 +143,15 @@ def test_stack_rows_grads():
     a = _leaf(RNG, 4)
     b = _leaf(RNG, 4)
     w = _fixed(8)
-    _check_grads(lambda: _weighted_sum(stack_rows([a, b]), w), [a, b])
+    objective = lambda: _weighted_sum(stack_rows([a, b]), w)
+    assert grad_check(objective, [a, b], eps=EPS) < TOL
 
 
 def test_reshape_grads():
     a = _leaf(RNG, 2, 6)
     w = _fixed(12)
-    _check_grads(lambda: _weighted_sum(ad.reshape(a, (3, 4)), w), [a])
+    objective = lambda: _weighted_sum(ad.reshape(a, (3, 4)), w)
+    assert grad_check(objective, [a], eps=EPS) < TOL
 
 
 def test_gather_rows_accumulates_duplicates():
@@ -186,20 +164,19 @@ def test_gather_rows_accumulates_duplicates():
 def test_gather_rows_grads():
     table = _leaf(RNG, 4, 3)
     w = _fixed(12)
-    _check_grads(
-        lambda: _weighted_sum(ad.gather_rows(table, [1, 1, 3, 0]), w), [table]
-    )
+    objective = lambda: _weighted_sum(ad.gather_rows(table, [1, 1, 3, 0]), w)
+    assert grad_check(objective, [table], eps=EPS) < TOL
 
 
 def test_take_row_and_slices():
     a = _leaf(RNG, 4, 3)
     w3 = _fixed(3)
-    _check_grads(lambda: _weighted_sum(ad.take_row(a, 2), w3), [a])
+    assert grad_check(lambda: _weighted_sum(ad.take_row(a, 2), w3), [a], eps=EPS) < TOL
     with pytest.raises(ValueError, match="out of range"):
         ad.take_row(a, 4)
     v = _leaf(RNG, 6)
     w3b = _fixed(3)
-    _check_grads(lambda: _weighted_sum(slice1d(v, 1, 4), w3b), [v])
+    assert grad_check(lambda: _weighted_sum(slice1d(v, 1, 4), w3b), [v], eps=EPS) < TOL
 
 
 def test_pad_stack_values_and_grads():
@@ -216,7 +193,7 @@ def test_pad_stack_values_and_grads():
         stacked, _ = ad.pad_stack([a, b])
         return _weighted_sum(stacked, w)
 
-    _check_grads(objective, [a, b])
+    assert grad_check(objective, [a, b], eps=EPS) < TOL
     with pytest.raises(ValueError, match="equal width"):
         ad.pad_stack([a, Tensor(np.zeros((2, 4)))])
     with pytest.raises(ValueError, match="at least one row"):
@@ -226,7 +203,8 @@ def test_pad_stack_values_and_grads():
 def test_slice_rows_grads():
     a = _leaf(RNG, 2, 4, 3)
     w = _fixed(6)
-    _check_grads(lambda: _weighted_sum(ad.slice_rows(a, 1, 2), w), [a])
+    objective = lambda: _weighted_sum(ad.slice_rows(a, 1, 2), w)
+    assert grad_check(objective, [a], eps=EPS) < TOL
 
 
 def test_sum_at_duplicate_indices():

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sawreader.bpe import (
     SUBWORD_UNK,
@@ -194,6 +196,28 @@ def test_size_law_counts_absorbed_products():
     vocab = build_subword_vocab(freqs, table)
     assert "ab" in vocab
     assert vocab.size == 3 + 2 + 1
+
+
+_WORDS = st.text(alphabet="abcd", min_size=1, max_size=6)
+
+
+@settings(deadline=None)
+@given(
+    corpus=st.dictionaries(_WORDS, st.integers(1, 5), min_size=1, max_size=8),
+    num_merges=st.integers(0, 40),
+    others=st.lists(_WORDS, max_size=4),
+)
+def test_segmentation_units_lie_in_subword_vocab(corpus, num_merges, others):
+    # 8 words of at most 6 letters allow at most 40 merges, so the top of the
+    # range exhausts the merge table; the vocabulary is built without
+    # segmenting, and must still hold every unit of every word spelled in
+    # the corpus's letters, corpus words or not
+    freqs = WordFreqTable(corpus)
+    table = train_bpe(freqs, num_merges)
+    vocab = build_subword_vocab(freqs, table)
+    letters = set("".join(corpus))
+    for word in list(corpus) + [w for w in others if set(w) <= letters]:
+        assert all(u in vocab for u in segment_word(word, table).subwords)
 
 
 # -------------------------------------------------------------- formats ---

@@ -245,6 +245,32 @@ def test_error_paths_exit_one(tmp_path, capsys):
     assert "LO:HI" in capsys.readouterr().err
 
 
+def test_per_gate_checkpoint_fails_eval_with_one_error_line(workspace, capsys):
+    # checkpoints from before the gates were stacked named each gate
+    # (W_r ... b_h); they are not converted, and loading one must say where
+    # it went wrong
+    tmp_path, data_dir, config_path = workspace
+    ckpt = tmp_path / "ckpt"
+    rc = main(["train", "--config", str(config_path), "--data", str(data_dir), "--out", str(ckpt)])
+    assert rc == 0
+    lines = []
+    for line in (ckpt / "params.manifest").read_text().splitlines():
+        name, dims = line.split("\t")
+        if not name.endswith(("fwd/W", "fwd/U", "fwd/b", "bwd/W", "bwd/U", "bwd/b")):
+            lines.append(line)
+            continue
+        rows, *rest = dims.split(",")
+        gate_dims = ",".join([str(int(rows) // 3)] + rest)
+        lines += [f"{name}_{g}\t{gate_dims}" for g in "rzh"]
+    (ckpt / "params.manifest").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(ckpt), "--input", str(data_dir / "test.jsonl")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: params.manifest line 3:")
+    assert "'sub_enc/fwd/W_r'" in err
+
+
 def test_unknown_config_key_rejected(workspace, tmp_path, capsys):
     _, data_dir, _ = workspace
     config = tmp_path / "bad.cfg"

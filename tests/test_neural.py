@@ -7,6 +7,8 @@ against central finite differences.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sawreader import autodiff as ad
 from sawreader import neural
@@ -18,24 +20,21 @@ from sawreader.neural import (
     bigru_finals,
     dropout,
     fan_scaled_init,
-    grad_check,
     init_gru,
     uniform_init,
 )
 
-from oracles import bigru, gru_step
+from oracles import bigru, grad_check, gru_step
 
 
 def _zero_gru(input_dim, hidden_dim):
     store = ParamStore()
-    fields = {}
-    for name in ("W_r", "W_z", "W_h"):
-        fields[name] = store.add(name, np.zeros((hidden_dim, input_dim)))
-    for name in ("U_r", "U_z", "U_h"):
-        fields[name] = store.add(name, np.zeros((hidden_dim, hidden_dim)))
-    for name in ("b_r", "b_z", "b_h"):
-        fields[name] = store.add(name, np.zeros(hidden_dim))
-    return GruParams(**fields), store
+    p = GruParams(
+        W=store.add("W", np.zeros((3 * hidden_dim, input_dim))),
+        U=store.add("U", np.zeros((3 * hidden_dim, hidden_dim))),
+        b=store.add("b", np.zeros(3 * hidden_dim)),
+    )
+    return p, store
 
 
 def _random_grus(rng, input_dim, hidden_dim):
@@ -44,9 +43,7 @@ def _random_grus(rng, input_dim, hidden_dim):
     bwd = init_gru(store, "bwd", input_dim, hidden_dim, rng)
     # non-zero biases so the finite-difference check covers them
     for p in (fwd, bwd):
-        for name, t in p.fields():
-            if name.startswith("b_"):
-                t.data = rng.standard_normal(t.data.shape) * 0.1
+        p.b.data = rng.standard_normal(p.b.data.shape) * 0.1
     return fwd, bwd, store
 
 
@@ -60,7 +57,7 @@ def test_gru_step_zero_params_halves_state():
 def test_gru_step_saturated_update_gate_forgets_state():
     # b_z = +10 pushes z to ~1, so the new state is ~tanh(0) = 0
     p, _ = _zero_gru(2, 3)
-    p.b_z.data = np.full(3, 10.0)
+    p.b.data[3:6] = 10.0
     out = gru_step(Tensor(np.ones(2)), Tensor(np.array([5.0, -5.0, 2.0])), p)
     assert np.abs(out.data).max() < 1e-3
 
@@ -144,58 +141,100 @@ def test_bigru_batch_input_gradient():
     assert grad_check(objective, store, eps=1e-5) < 1e-6
 
 
+def _fused_and_stepwise(x, lengths, w, fwd, bwd):
+    """sum(w * outputs) over each row's real positions, built two ways: from
+    the fused scan, and from per-step gru_step tape nodes run over each
+    unpadded sequence forward and reversed. Returns the fused output, both
+    scalars, and the per-step outputs keyed by (row, position)."""
+    out = bigru_batch(x, lengths, fwd, bwd)
+    real = np.arange(w.shape[1])[None, :] < lengths[:, None]
+    masked_w = (w * real[:, :, None]).reshape(-1)
+    flat = ad.reshape(out, (out.data.size,))
+    fused = ad.sum_at(ad.mul(flat, Tensor(masked_w)), np.arange(flat.data.size))
+    step = None
+    pieces = {}
+    for i, n in enumerate(int(n) for n in lengths):
+        rows = ad.slice_rows(x, i, n)
+        states_f, states_b = [], [None] * n
+        h = Tensor(np.zeros(fwd.hidden_dim))
+        for t in range(n):
+            h = gru_step(ad.take_row(rows, t), h, fwd)
+            states_f.append(h)
+        h = Tensor(np.zeros(bwd.hidden_dim))
+        for t in range(n - 1, -1, -1):
+            h = gru_step(ad.take_row(rows, t), h, bwd)
+            states_b[t] = h
+        for t in range(n):
+            piece = pieces[i, t] = ad.concat([states_f[t], states_b[t]], axis=0)
+            term = ad.sum_at(ad.mul(piece, Tensor(w[i, t])), np.arange(w.shape[2]))
+            step = term if step is None else ad.add(step, term)
+    return out, fused, step, pieces
+
+
+def _grads_of(objective, store, x):
+    store.zero_grads()
+    x.grad = None
+    objective.backward()
+    grads = {name: g.copy() for name, g in store.grads().items()}
+    grads["x"] = x.grad.copy()
+    return grads
+
+
 def test_fused_backward_matches_stepwise_tape_gradients():
     # second analytic route: the same objective built from per-step gru_step
     # tape nodes; agreement here is exact, not limited by finite differences
     rng = np.random.default_rng(21)
     fwd, bwd, store = _random_grus(rng, 3, 4)
     lengths = np.array([4, 2])
-    x = rng.standard_normal((2, 4, 3))
+    x = Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True)
     w = rng.standard_normal((2, 4, 8))
+    _, fused, step, _ = _fused_and_stepwise(x, lengths, w, fwd, bwd)
+    assert abs(step.item() - fused.item()) < 1e-10
+    fused_grads = _grads_of(fused, store, x)
+    step_grads = _grads_of(step, store, x)
+    for name in fused_grads:
+        assert np.allclose(
+            fused_grads[name], step_grads[name], rtol=1e-9, atol=1e-12
+        ), name
 
-    def scalar_from(out_rows):
-        total = None
-        for piece in out_rows:
-            term = ad.sum_at(
-                ad.mul(ad.reshape(piece, (piece.data.size,)), Tensor(piece_w.pop(0))),
-                np.arange(piece.data.size),
-            )
-            total = term if total is None else ad.add(total, term)
-        return total
 
-    store.zero_grads()
-    out = bigru_batch(Tensor(x), lengths, fwd, bwd)
-    flat = ad.reshape(out, (out.data.size,))
-    masked_w = np.zeros_like(w)
-    for i, n in enumerate(lengths):
-        masked_w[i, :n] = w[i, :n]
-    fused_obj = ad.sum_at(
-        ad.mul(flat, Tensor(masked_w.reshape(-1))), np.arange(flat.data.size)
+@st.composite
+def _padded_batches(draw):
+    steps = draw(st.integers(1, 5))
+    lengths = draw(st.lists(st.integers(1, steps), min_size=1, max_size=3))
+    return (
+        np.array(lengths),
+        steps,
+        draw(st.integers(1, 4)),
+        draw(st.integers(1, 4)),
+        draw(st.integers(0, 2**32 - 1)),
     )
-    fused_obj.backward()
-    fused_grads = {name: g.copy() for name, g in store.grads().items()}
 
-    store.zero_grads()
-    piece_w = []
-    pieces = []
+
+@settings(deadline=None, max_examples=40)
+@given(_padded_batches())
+def test_bigru_batch_matches_stepwise_oracle_and_padding_never_leaks(case):
+    lengths, steps, in_dim, hid, seed = case
+    rng = np.random.default_rng(seed)
+    fwd, bwd, store = _random_grus(rng, in_dim, hid)
+    # padded positions hold noise: none of it may reach a real output or a
+    # gradient
+    batch = len(lengths)
+    x = Tensor(rng.standard_normal((batch, steps, in_dim)), requires_grad=True)
+    w = rng.standard_normal((batch, steps, 2 * hid))
+    out, fused, step, pieces = _fused_and_stepwise(x, lengths, w, fwd, bwd)
+    for (i, t), piece in pieces.items():
+        assert np.allclose(out.data[i, t], piece.data, atol=1e-12)
     for i, n in enumerate(lengths):
-        h = Tensor(np.zeros(4))
-        states_f = []
-        for t in range(int(n)):
-            h = gru_step(Tensor(x[i, t]), h, fwd)
-            states_f.append(h)
-        h = Tensor(np.zeros(4))
-        states_b = [None] * int(n)
-        for t in range(int(n) - 1, -1, -1):
-            h = gru_step(Tensor(x[i, t]), h, bwd)
-            states_b[t] = h
-        for t in range(int(n)):
-            pieces.append(ad.concat([states_f[t], states_b[t]], axis=0))
-            piece_w.append(w[i, t].copy())
-    step_obj = scalar_from(pieces)
-    assert abs(step_obj.item() - fused_obj.item()) < 1e-10
-    step_obj.backward()
-    step_grads = store.grads()
+        # past its length a row keeps its last forward state; the backward
+        # scan has not started there
+        assert (out.data[i, n:, :hid] == out.data[i, n - 1, :hid]).all()
+        assert not out.data[i, n:, hid:].any()
+    assert abs(step.item() - fused.item()) < 1e-10
+    fused_grads = _grads_of(fused, store, x)
+    step_grads = _grads_of(step, store, x)
+    for i, n in enumerate(lengths):
+        assert not fused_grads["x"][i, n:].any()
     for name in fused_grads:
         assert np.allclose(
             fused_grads[name], step_grads[name], rtol=1e-9, atol=1e-12
@@ -298,11 +337,8 @@ def test_param_store_checkpoint_round_trip(tmp_path):
     clone.add("w", np.zeros((3, 2)))
     clone.add("b", np.zeros(3))
     clone.load_values(bin_path, man_path)
-    # storage is float32, so loaded values are the float32 rounding
     for name in ("w", "b"):
-        assert np.array_equal(
-            clone[name].data, store[name].data.astype(np.float32).astype(np.float64)
-        )
+        assert np.array_equal(clone[name].data, store[name].data)
 
 
 def test_param_store_checkpoint_mismatches(tmp_path):
@@ -334,6 +370,43 @@ def test_param_store_checkpoint_mismatches(tmp_path):
         truncated.load_values(bin_path, man_path)
 
 
+def _saved_store(tmp_path):
+    store = ParamStore()
+    store.add("w", np.ones((2, 2)))
+    store.add("b", np.ones(2))
+    bin_path = tmp_path / "params.bin"
+    man_path = tmp_path / "params.manifest"
+    store.save(bin_path, man_path)
+    return store, bin_path, man_path
+
+
+def test_param_store_load_rejects_stray_trailing_bytes(tmp_path):
+    store, bin_path, man_path = _saved_store(tmp_path)
+    good = bin_path.read_bytes()
+    for extra in (1, 2, 3):
+        bin_path.write_bytes(good + b"\0" * extra)
+        with pytest.raises(ValueError, match="params.bin is longer"):
+            store.load_values(bin_path, man_path)
+
+
+def test_param_store_load_names_malformed_manifest_line(tmp_path):
+    store, bin_path, man_path = _saved_store(tmp_path)
+    for text in ("w\t2,2\nb 2\n", "w\t2,2\nb\t2,x\n", "w\t2,2\nb\t2\textra\n"):
+        man_path.write_text(text)
+        with pytest.raises(ValueError, match="params.manifest line 2: expected"):
+            store.load_values(bin_path, man_path)
+
+
+def test_param_store_load_names_first_unexpected_name(tmp_path):
+    store, bin_path, man_path = _saved_store(tmp_path)
+    man_path.write_text("w\t2,2\nb_r\t2\nb\t2\n")
+    with pytest.raises(ValueError, match="params.manifest line 2: .*'b_r'"):
+        store.load_values(bin_path, man_path)
+    man_path.write_text("w\t2,2\n")
+    with pytest.raises(ValueError, match="params.manifest: .*missing 'b'"):
+        store.load_values(bin_path, man_path)
+
+
 def test_init_bounds_and_bias_zeros():
     rng = np.random.default_rng(13)
     w = uniform_init(rng, (50, 50))
@@ -342,13 +415,14 @@ def test_init_bounds_and_bias_zeros():
     assert np.abs(fan).max() <= np.sqrt(6.0 / 50)
     store = ParamStore()
     p = init_gru(store, "g", 4, 5, rng)
-    for name, t in p.fields():
-        if name.startswith("b_"):
-            assert np.array_equal(t.data, np.zeros(5))
-        else:
-            assert np.abs(t.data).max() <= np.sqrt(6.0 / sum(t.data.shape))
+    assert p.W.shape == (15, 4) and p.U.shape == (15, 5)
+    assert np.array_equal(p.b.data, np.zeros(15))
+    # each gate block keeps its own per-gate fan limit
+    for stacked in (p.W.data, p.U.data):
+        for block in np.split(stacked, 3):
+            assert np.abs(block).max() <= np.sqrt(6.0 / sum(block.shape))
     assert p.input_dim == 4 and p.hidden_dim == 5
-    assert store.names()[0] == "g/W_r"
+    assert store.names() == ["g/W", "g/U", "g/b"]
 
 
 def test_grad_check_accepts_correct_and_flags_wrong():

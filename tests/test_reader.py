@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from sawreader import autodiff as ad
-from sawreader import neural
 from sawreader.autodiff import Tensor
 from sawreader.bpe import segment_word
 from sawreader.data import ClozeExample
@@ -25,6 +24,8 @@ from sawreader.reader import (
 )
 from sawreader.training import loss_node
 from sawreader.vocab import index_subwords, save_short_list
+
+from oracles import grad_check
 
 
 def _examples():
@@ -250,7 +251,7 @@ def test_end_to_end_loss_gradient_small():
     def objective():
         return loss_node(forward_batch(model, [ex])[0], ex.answer)
 
-    assert neural.grad_check(objective, model.params, eps=1e-5, floor=1e-5) < 1e-4
+    assert grad_check(objective, model.params, eps=1e-5, floor=1e-5) < 1e-4
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -270,9 +271,10 @@ def test_checkpoint_round_trip(tmp_path):
     ]
     with ad.no_grad():
         after = [forward_batch(loaded, [ex])[0] for ex in examples]
+    for name, t in model.params.items():
+        assert np.array_equal(loaded.params[name].data, t.data), name
     for fp_a, fp_b in zip(before, after):
-        # parameters are stored in float32, so allow that quantization
-        assert np.allclose(fp_a.p.data, fp_b.p.data, atol=1e-5)
+        assert np.array_equal(fp_a.p.data, fp_b.p.data)
         assert answer(fp_a.dist) == answer(fp_b.dist)
 
 
