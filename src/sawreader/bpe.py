@@ -4,12 +4,22 @@ Merges are learned by repeatedly fusing the most frequent adjacent symbol
 pair, weighted by word frequency. Pair occurrences within a word are
 counted left to right without overlap, so "aaa" holds one (a, a) pair.
 Ties break toward the lexicographically smallest (left, right) pair, which
-keeps training deterministic. Segmentation replays the learned merges in
-rank order.
+keeps training deterministic.
+
+Segmentation gives the result of replaying every merge in rank order, but
+skips the rules that cannot fire. A rule changes the symbols only if its
+pair occurs in them, so the replay equals repeating one step: among the
+adjacent pairs, take the lowest rank at or above a floor, merge that pair,
+and raise the floor past its rank. The floor keeps this exact: with rules
+[(ab, c), (a, b)], "abc" replays to ("ab", "c"), because (ab, c) was passed
+before "ab" existed, while lowest-rank-first without a floor would give
+("abc",).
 """
 
 from __future__ import annotations
 
+import os
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -72,13 +82,21 @@ class MergeRule:
 
 
 class MergeTable:
-    """Ordered merge rules; rank i was learned at iteration i."""
+    """Ordered merge rules; rank i was learned at iteration i.
+
+    The rules are a tuple, so the pair -> ranks index built here cannot go
+    stale.
+    """
 
     def __init__(self, rules: Sequence[MergeRule]):
-        for i, rule in enumerate(rules):
+        self.rules: tuple[MergeRule, ...] = tuple(rules)
+        ranks: dict[Pair, list[int]] = defaultdict(list)
+        for i, rule in enumerate(self.rules):
             if rule.rank != i:
                 raise ValueError("merge ranks must be contiguous from 0")
-        self.rules: list[MergeRule] = list(rules)
+            ranks[(rule.left, rule.right)].append(i)
+        # ascending, since ranks are visited in order; a pair may repeat
+        self._ranks: dict[Pair, list[int]] = dict(ranks)
 
     @property
     def num_merges(self) -> int:
@@ -92,23 +110,36 @@ class MergeTable:
 
     @classmethod
     def load(cls, path) -> "MergeTable":
+        name = os.path.basename(path)
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n")
             if not header.startswith("#merges: "):
-                raise ValueError(f"bad merge table header: {header!r}")
-            declared = int(header[len("#merges: ") :])
+                raise ValueError(f"{name} line 1: bad merge table header: {header!r}")
+            try:
+                declared = int(header[len("#merges: ") :])
+            except ValueError:
+                raise ValueError(
+                    f"{name} line 1: merge count is not an integer: {header!r}"
+                ) from None
             rules = []
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 line = line.rstrip("\n")
                 if not line:
                     continue
                 parts = line.split("\t")
                 if len(parts) != 2:
-                    raise ValueError(f"bad merge rule line: {line!r}")
+                    raise ValueError(
+                        f"{name} line {lineno}: expected left<TAB>right, got {line!r}"
+                    )
+                if not all(parts):
+                    raise ValueError(
+                        f"{name} line {lineno}: merge rule has an empty unit: {line!r}"
+                    )
                 rules.append(MergeRule(parts[0], parts[1], len(rules)))
         if len(rules) != declared:
             raise ValueError(
-                f"merge table declares {declared} rules but has {len(rules)}"
+                f"{name} line 1: merge table declares {declared} rules "
+                f"but has {len(rules)}"
             )
         return cls(rules)
 
@@ -217,14 +248,33 @@ def train_bpe(words: WordFreqTable, num_merges: int) -> MergeTable:
 
 
 def segment_word(word: str, table: MergeTable) -> Segmentation:
-    """Split a word into characters, then replay merges in rank order."""
+    """Split a word into characters and merge them as a rank-order replay
+    of every rule would.
+
+    Rules whose pair does not occur leave the symbols unchanged, so each
+    step jumps to the lowest rank at or above the floor among the pairs
+    that occur, merges that pair, and sets the floor one past that rank.
+    Rules below the floor were passed by the replay and never fire again,
+    even if a later merge creates their pair.
+    """
     if not word:
         raise ValueError("cannot segment an empty word")
     symbols: list[str] = list(word)
-    for rule in table.rules:
-        if len(symbols) < 2:
+    ranks = table._ranks
+    floor = 0
+    while len(symbols) > 1:
+        best = None
+        for pair in zip(symbols, symbols[1:]):
+            pair_ranks = ranks.get(pair)
+            if pair_ranks is None or pair_ranks[-1] < floor:
+                continue
+            rank = pair_ranks[bisect_left(pair_ranks, floor)]
+            if best is None or rank < best:
+                best, best_pair = rank, pair
+        if best is None:
             break
-        symbols = _merge_symbols(symbols, (rule.left, rule.right))
+        symbols = _merge_symbols(symbols, best_pair)
+        floor = best + 1
     return Segmentation(word, tuple(symbols))
 
 

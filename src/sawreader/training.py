@@ -202,12 +202,20 @@ def train(
         total_loss = 0.0
         for start in range(0, n, config.batch_size):
             batch = [train_set[int(i)] for i in order[start : start + config.batch_size]]
-            passes = forward_batch(model, batch, mode="train", rng=dropout_rng)
-            losses = [loss_node(fp, ex.answer) for fp, ex in zip(passes, batch)]
-            batch_loss = ad.mean_of(losses)
-            model.params.zero_grads()
-            batch_loss.backward()
-            grads = clip_gradients(model.params.grads(), config.clip_threshold)
+            try:
+                passes = forward_batch(model, batch, mode="train", rng=dropout_rng)
+                losses = [loss_node(fp, ex.answer) for fp, ex in zip(passes, batch)]
+                batch_loss = ad.mean_of(losses)
+                if not np.isfinite(batch_loss.data):
+                    raise ValueError("non-finite loss")
+                model.params.zero_grads()
+                batch_loss.backward()
+                grads = clip_gradients(model.params.grads(), config.clip_threshold)
+            except ValueError as err:
+                # a NaN parameter fails the softmax, a non-finite loss or
+                # gradient fails here or in clipping; say which examples
+                ids = ", ".join(repr(ex.id) for ex in batch)
+                raise ValueError(f"epoch {epoch}, examples {ids}: {err}") from err
             adam_step(model.params, grads, state, lr, config)
             total_loss += float(batch_loss.data) * len(batch)
         row = EpochStats(

@@ -9,6 +9,7 @@ spelling, so a word dropped from the short list keeps its subword units.
 from __future__ import annotations
 
 import math
+import os
 from typing import Iterable, Sequence
 
 from .bpe import MergeTable, SubwordVocab, segment_word
@@ -41,6 +42,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
+        name = os.path.basename(path)
         words: list[str] = []
         counts: dict[str, int] = {}
         last = None
@@ -52,14 +54,21 @@ class Vocabulary:
                 parts = line.split("\t")
                 if len(parts) != 2:
                     raise ValueError(
-                        f"line {lineno}: expected word<TAB>count, got {line!r}"
+                        f"{name} line {lineno}: expected word<TAB>count, got {line!r}"
                     )
                 word, count_str = parts
-                count = int(count_str)
+                try:
+                    count = int(count_str)
+                except ValueError:
+                    raise ValueError(
+                        f"{name} line {lineno}: count is not an integer: {count_str!r}"
+                    ) from None
                 if last is not None and count > last:
                     raise ValueError(
-                        f"line {lineno}: counts must be non-increasing"
+                        f"{name} line {lineno}: counts must be non-increasing"
                     )
+                if word in counts:
+                    raise ValueError(f"{name} line {lineno}: duplicate word {word!r}")
                 words.append(word)
                 counts[word] = count
                 last = count

@@ -1,7 +1,8 @@
 """Test-only tape ops and reference implementations.
 
 The package never calls these. The per-step GRU and single-sequence BiGRU
-are the oracles the fused batched scan is checked against, and grad_check
+are the oracles the fused batched scan is checked against, replay_segment
+is the one rank-jumping segmentation is checked against, and grad_check
 is the one finite-difference checker; the small tape ops and the scalar
 loss and norm helpers keep the tests short.
 """
@@ -10,6 +11,7 @@ import numpy as np
 
 from sawreader import autodiff as ad
 from sawreader.autodiff import Tensor
+from sawreader.bpe import MergeTable, _merge_symbols
 from sawreader.neural import GruParams, ParamStore, bigru_batch, bigru_finals
 from sawreader.training import loss_node
 
@@ -144,6 +146,16 @@ def bigru(seq, fwd: GruParams, bwd: GruParams):
     finals = ad.take_row(bigru_finals(h3, lengths), 0)
     hid = fwd.hidden_dim
     return outputs, (slice1d(finals, 0, hid), slice1d(finals, hid, 2 * hid))
+
+
+def replay_segment(word: str, table: MergeTable) -> tuple[str, ...]:
+    """Split a word into characters, then replay every merge in rank order."""
+    symbols = list(word)
+    for rule in table.rules:
+        if len(symbols) < 2:
+            break
+        symbols = _merge_symbols(symbols, (rule.left, rule.right))
+    return tuple(symbols)
 
 
 def global_norm(grads: dict[str, np.ndarray]) -> float:

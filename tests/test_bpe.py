@@ -19,6 +19,8 @@ from sawreader.bpe import (
     train_bpe,
 )
 
+from oracles import replay_segment
+
 
 # ---------------------------------------------------------------- oracle ---
 # Independent reimplementation used only by tests: full recount every step,
@@ -220,6 +222,74 @@ def test_segmentation_units_lie_in_subword_vocab(corpus, num_merges, others):
         assert all(u in vocab for u in segment_word(word, table).subwords)
 
 
+# ------------------------------------------------ segmentation vs replay ---
+
+
+def test_segment_skips_merges_passed_before_their_pair_existed():
+    # the replay meets (ab, c) while "abc" is still three letters, so only
+    # (a, b) fires; taking the lowest rank that occurs without a floor
+    # would fire (ab, c) after (a, b) and give ("abc",)
+    table = MergeTable([MergeRule("ab", "c", 0), MergeRule("a", "b", 1)])
+    assert replay_segment("abc", table) == ("ab", "c")
+    assert segment_word("abc", table).subwords == ("ab", "c")
+
+
+@settings(deadline=None)
+@given(
+    corpus=st.dictionaries(_WORDS, st.integers(1, 5), min_size=1, max_size=8),
+    num_merges=st.integers(0, 40),
+    others=st.lists(st.text(alphabet="abcde", min_size=1, max_size=8), max_size=6),
+)
+def test_segment_equals_replay_on_learned_tables(corpus, num_merges, others):
+    table = train_bpe(WordFreqTable(corpus), num_merges)
+    for word in list(corpus) + others:
+        assert segment_word(word, table).subwords == replay_segment(word, table)
+
+
+# units for hand-built rules: mostly single letters, so that rules fire,
+# every string of two letters, so that a unit is often some other rule's
+# product, and a few that are empty or hold a fourth letter
+_UNITS = list("abc") * 6 + [x + y for x in "abc" for y in "abc"] + ["", "d", "ad", "bcd"]
+
+
+@st.composite
+def _hand_cases(draw):
+    """A table whose units are any short strings or other rules' products,
+    earlier or later ones, with repeated pairs; and words spelled from its
+    letters and products."""
+    pairs = [
+        (draw(st.sampled_from(_UNITS)), draw(st.sampled_from(_UNITS)))
+        for _ in range(draw(st.integers(0, 30)))
+    ]
+    products = [left + right for left, right in pairs]
+    for i, (left, right) in enumerate(pairs):
+        kind = draw(st.integers(0, 3))
+        if kind == 1:
+            pairs[i] = (draw(st.sampled_from(products)), right)
+        elif kind == 2:
+            pairs[i] = (left, draw(st.sampled_from(products)))
+        elif kind == 3:
+            pairs[i] = draw(st.sampled_from(pairs))
+    table = MergeTable([MergeRule(l, r, k) for k, (l, r) in enumerate(pairs)])
+    pieces = st.sampled_from(list("abc") + products)
+    words = st.lists(pieces, min_size=1, max_size=4).map("".join).filter(bool)
+    return table, draw(st.lists(words, min_size=1, max_size=8))
+
+
+@settings(deadline=None)
+@given(case=_hand_cases())
+def test_segment_equals_replay_on_hand_built_tables(case):
+    table, words = case
+    for word in words:
+        assert segment_word(word, table).subwords == replay_segment(word, table)
+
+
+def test_merge_table_rules_are_immutable():
+    table = MergeTable([MergeRule("a", "b", 0)])
+    with pytest.raises(AttributeError):
+        table.rules.append(MergeRule("b", "c", 1))
+
+
 # -------------------------------------------------------------- formats ---
 
 
@@ -236,14 +306,36 @@ def test_merge_table_round_trip(tmp_path):
 def test_merge_table_load_rejects_bad_header(tmp_path):
     path = tmp_path / "merges.txt"
     path.write_text("a\tb\n")
-    with pytest.raises(ValueError, match="header"):
+    with pytest.raises(ValueError, match="merges.txt line 1: bad merge table header"):
         MergeTable.load(path)
+
+
+def test_merge_table_load_rejects_non_integer_count(tmp_path):
+    path = tmp_path / "merges.txt"
+    path.write_text("#merges: two\na\tb\n")
+    with pytest.raises(ValueError, match="merges.txt line 1: merge count is not an integer"):
+        MergeTable.load(path)
+
+
+def test_merge_table_load_rejects_line_without_tab(tmp_path):
+    path = tmp_path / "merges.txt"
+    path.write_text("#merges: 2\na\tb\nab c\n")
+    with pytest.raises(ValueError, match="merges.txt line 3: expected left<TAB>right"):
+        MergeTable.load(path)
+
+
+def test_merge_table_load_rejects_empty_unit(tmp_path):
+    path = tmp_path / "merges.txt"
+    for rule in ("a\t", "\tb"):
+        path.write_text(f"#merges: 1\n{rule}\n")
+        with pytest.raises(ValueError, match="merges.txt line 2: merge rule has an empty unit"):
+            MergeTable.load(path)
 
 
 def test_merge_table_load_rejects_count_mismatch(tmp_path):
     path = tmp_path / "merges.txt"
     path.write_text("#merges: 2\na\tb\n")
-    with pytest.raises(ValueError, match="declares 2"):
+    with pytest.raises(ValueError, match="merges.txt line 1: merge table declares 2"):
         MergeTable.load(path)
 
 

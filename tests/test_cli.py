@@ -271,6 +271,22 @@ def test_per_gate_checkpoint_fails_eval_with_one_error_line(workspace, capsys):
     assert "'sub_enc/fwd/W_r'" in err
 
 
+def test_corrupt_merge_table_fails_eval_with_one_error_line(workspace, capsys):
+    tmp_path, data_dir, config_path = workspace
+    ckpt = tmp_path / "ckpt"
+    rc = main(["train", "--config", str(config_path), "--data", str(data_dir), "--out", str(ckpt)])
+    assert rc == 0
+    lines = (ckpt / "merges.txt").read_text().splitlines()
+    lines[2] = lines[2].replace("\t", " ")
+    (ckpt / "merges.txt").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(ckpt), "--input", str(data_dir / "test.jsonl")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: merges.txt line 3: expected left<TAB>right")
+
+
 def test_unknown_config_key_rejected(workspace, tmp_path, capsys):
     _, data_dir, _ = workspace
     config = tmp_path / "bad.cfg"

@@ -190,6 +190,17 @@ def test_train_validates_valid_set():
         train(model, examples, [missing], config)
 
 
+def test_non_finite_training_names_epoch_and_batch():
+    model, examples = _tiny_setup()
+    config = TrainConfig(batch_size=2, epochs=1)
+    model.params["sub_enc/fwd/W"].data[0, 0] = np.nan
+    first = np.random.default_rng([config.seed, 1]).permutation(len(examples))[:2]
+    ids = ", ".join(repr(examples[int(i)].id) for i in first)
+    with pytest.raises(ValueError, match="NaN|non-finite") as err:
+        train(model, examples, examples, config)
+    assert str(err.value).startswith(f"epoch 1, examples {ids}: ")
+
+
 def test_backward_frees_graph_without_cyclic_collector():
     model, examples = _tiny_setup()
     gc.disable()

@@ -115,6 +115,20 @@ def test_vocabulary_load_rejects_bad_line(tmp_path):
         Vocabulary.load(path)
 
 
+def test_vocabulary_load_rejects_non_integer_count(tmp_path):
+    path = tmp_path / "vocab.tsv"
+    path.write_text("a\t2\nb\tmany\n")
+    with pytest.raises(ValueError, match="vocab.tsv line 2: count is not an integer: 'many'"):
+        Vocabulary.load(path)
+
+
+def test_vocabulary_load_rejects_duplicate_word(tmp_path):
+    path = tmp_path / "vocab.tsv"
+    path.write_text("a\t2\nb\t1\na\t1\n")
+    with pytest.raises(ValueError, match="vocab.tsv line 3: duplicate word 'a'"):
+        Vocabulary.load(path)
+
+
 def test_vocabulary_rejects_duplicates():
     with pytest.raises(ValueError, match="duplicate"):
         Vocabulary(["a", "a"], {"a": 2})
