@@ -144,42 +144,21 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), backward)
 
 
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data)
-    if not _needs(a):
-        return out
-
-    def backward():
-        accumulate(a, -out.grad)
-
-    return _record(out, (a,), backward)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(n,m) @ (m,k) -> (n,k), or (n,m) @ (m,) -> (n,)."""
-    if a.ndim != 2 or b.ndim not in (1, 2):
+    """(..., n, m) @ (..., m, k) -> (..., n, k); leading axes must match."""
+    if a.ndim < 2 or a.ndim != b.ndim:
         raise ValueError(f"matmul: unsupported ranks {a.ndim} @ {b.ndim}")
-    if a.shape[1] != b.shape[0]:
+    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul: inner dim mismatch {a.shape} @ {b.shape}")
     out = Tensor(a.data @ b.data)
     if not _needs(a, b):
         return out
 
-    if b.ndim == 2:
-
-        def backward():
-            if a.requires_grad:
-                accumulate(a, out.grad @ b.data.T)
-            if b.requires_grad:
-                accumulate(b, a.data.T @ out.grad)
-
-    else:
-
-        def backward():
-            if a.requires_grad:
-                accumulate(a, np.outer(out.grad, b.data))
-            if b.requires_grad:
-                accumulate(b, a.data.T @ out.grad)
+    def backward():
+        if a.requires_grad:
+            accumulate(a, out.grad @ np.swapaxes(b.data, -1, -2))
+        if b.requires_grad:
+            accumulate(b, np.swapaxes(a.data, -1, -2) @ out.grad)
 
     return _record(out, (a, b), backward)
 
@@ -208,25 +187,28 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ValueError("transpose: expected a 2-D tensor")
-    out = Tensor(a.data.T)
+    """Swap the last two axes."""
+    if a.ndim < 2:
+        raise ValueError("transpose: expected at least 2 axes")
+    out = Tensor(np.swapaxes(a.data, -1, -2))
     if not _needs(a):
         return out
 
     def backward():
-        accumulate(a, out.grad.T)
+        accumulate(a, np.swapaxes(out.grad, -1, -2))
 
     return _record(out, (a,), backward)
 
 
 def softmax(a: Tensor) -> Tensor:
-    """Stable softmax along the last axis (1-D vector or 2-D rows).
+    """Stable softmax along the last axis of a 1-D, 2-D or 3-D tensor.
 
-    Raises on NaN input rather than propagating it.
+    Entries of -inf get probability exactly 0, so adding a mask of 0 and
+    -inf leaves them out; each row needs at least one finite entry. Raises
+    on NaN input rather than propagating it.
     """
-    if a.ndim not in (1, 2):
-        raise ValueError("softmax: expected a 1-D or 2-D tensor")
+    if a.ndim not in (1, 2, 3):
+        raise ValueError("softmax: expected a 1-D, 2-D or 3-D tensor")
     if np.isnan(a.data).any():
         raise ValueError("softmax: input contains NaN")
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
@@ -293,100 +275,41 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     return _record(out, (table,), backward)
 
 
-def take_row(a: Tensor, i: int) -> Tensor:
-    if a.ndim != 2:
-        raise ValueError("take_row: expected a 2-D tensor")
-    if not 0 <= i < a.shape[0]:
-        raise ValueError(f"take_row: row {i} out of range for {a.shape}")
-    out = Tensor(a.data[i])
-    if not _needs(a):
-        return out
-
-    def backward():
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[i] += out.grad
-
-    return _record(out, (a,), backward)
-
-
 def slice_rows(a: Tensor, i: int, length: int) -> Tensor:
-    """Take the first `length` rows of batch item i from a (B,T,D) tensor."""
-    if a.ndim != 3:
-        raise ValueError("slice_rows: expected a 3-D tensor")
-    out = Tensor(a.data[i, :length, :])
+    """a[i, :length]: the first `length` rows of batch item i."""
+    if a.ndim < 2:
+        raise ValueError("slice_rows: expected a batched tensor")
+    out = Tensor(a.data[i, :length])
     if not _needs(a):
         return out
 
     def backward():
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
-        a.grad[i, :length, :] += out.grad
+        a.grad[i, :length] += out.grad
 
     return _record(out, (a,), backward)
 
 
-def pad_stack(mats: list[Tensor]) -> tuple[Tensor, np.ndarray]:
-    """Stack 2-D tensors of equal width into (B, T_max, D) with zero padding.
-
-    Returns the stacked tensor and the integer row count of each input.
-    """
-    if not mats:
-        raise ValueError("pad_stack: empty input")
-    widths = {m.shape[1] for m in mats}
-    if len(widths) != 1 or any(m.ndim != 2 for m in mats):
-        raise ValueError("pad_stack: inputs must be 2-D with equal width")
-    lengths = np.array([m.shape[0] for m in mats], dtype=np.intp)
-    if (lengths == 0).any():
-        raise ValueError("pad_stack: inputs must have at least one row")
-    t_max = int(lengths.max())
-    d = mats[0].shape[1]
-    data = np.zeros((len(mats), t_max, d), dtype=np.float64)
-    for i, m in enumerate(mats):
-        data[i, : lengths[i], :] = m.data
-    out = Tensor(data)
-    if not _needs(*mats):
-        return out, lengths
-
-    def backward():
-        for i, m in enumerate(mats):
-            if m.requires_grad:
-                accumulate(m, out.grad[i, : lengths[i], :])
-
-    return _record(out, tuple(mats), backward), lengths
-
-
-def sum_at(p: Tensor, indices) -> Tensor:
-    """Scalar sum of selected entries of a 1-D tensor."""
+def nll_at(p: Tensor, indices, floor: float) -> Tensor:
+    """-log(max(sum of p at indices, floor)) for a 1-D p; the gradient is
+    zero below the floor. Duplicate indices count twice."""
     idx = np.asarray(indices, dtype=np.intp)
     if p.ndim != 1:
-        raise ValueError("sum_at: expected a 1-D tensor")
-    out = Tensor(p.data[idx].sum())
+        raise ValueError("nll_at: expected a 1-D tensor")
+    total = float(p.data[idx].sum())
+    out = Tensor(-np.log(max(total, floor)))
     if not _needs(p):
         return out
 
     def backward():
+        if total < floor:
+            return
         if p.grad is None:
             p.grad = np.zeros_like(p.data)
-        np.add.at(p.grad, idx, out.grad)
+        np.add.at(p.grad, idx, -out.grad / total)
 
     return _record(out, (p,), backward)
-
-
-def log_floored(x: Tensor, floor: float = 1e-12) -> Tensor:
-    """log(max(x, floor)) on a scalar; gradient is zero below the floor."""
-    if x.data.size != 1:
-        raise ValueError("log_floored: expected a scalar")
-    val = float(x.data)
-    out = Tensor(np.log(max(val, floor)))
-    if not _needs(x):
-        return out
-
-    def backward():
-        if val >= floor:
-            accumulate(x, out.grad / val)
-
-    return _record(out, (x,), backward)
 
 
 def mean_of(scalars: list[Tensor]) -> Tensor:

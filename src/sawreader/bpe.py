@@ -310,11 +310,25 @@ class SubwordVocab:
 
     @classmethod
     def load(cls, path) -> "SubwordVocab":
+        name = os.path.basename(path)
+        units: list[str] = []
+        seen: set[str] = set()
         with open(path, encoding="utf-8") as fh:
-            units = [line.rstrip("\n") for line in fh]
-        units = [u for u in units if u]
-        if not units or units[0] != SUBWORD_UNK:
-            raise ValueError("subword vocab file must start with the unknown unit")
+            for lineno, line in enumerate(fh, start=1):
+                unit = line.rstrip("\n")
+                if not unit:
+                    continue
+                if not units and unit != SUBWORD_UNK:
+                    raise ValueError(
+                        f"{name} line {lineno}: subword vocab file must start with "
+                        f"the unknown unit {SUBWORD_UNK!r}, got {unit!r}"
+                    )
+                if unit in seen:
+                    raise ValueError(f"{name} line {lineno}: duplicate subword unit {unit!r}")
+                seen.add(unit)
+                units.append(unit)
+        if not units:
+            raise ValueError(f"{name}: empty subword vocab file")
         return cls(units[1:])
 
 

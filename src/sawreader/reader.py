@@ -188,18 +188,27 @@ def answer(dist: AnswerDistribution) -> str:
     return top_candidates(dist, 1)[0]
 
 
+def _gather_padded(table: Tensor, seqs: list[list[int]]) -> tuple[Tensor, np.ndarray]:
+    """Rows of a 2-D table for each index sequence, as a padded (B, T, D)
+    batch, plus each sequence's length.
+
+    Padded positions read row 0. The masked GRU scans neither read them nor
+    send them gradient, and attention and the answer pointer mask them.
+    """
+    lengths = np.array([len(s) for s in seqs], dtype=np.intp)
+    idx = np.zeros((len(seqs), int(lengths.max())), dtype=np.intp)
+    for i, seq in enumerate(seqs):
+        idx[i, : len(seq)] = seq
+    rows = ad.gather_rows(table, idx.reshape(-1))
+    return ad.reshape(rows, idx.shape + (table.shape[1],)), lengths
+
+
 def subword_encode_batch(model: ReaderModel, words: list[str]) -> Tensor:
     """Subword embeddings for a list of words, stacked as (n, subword_out_dim)."""
     if not words:
         raise ValueError("subword_encode_batch: empty word list")
     seqs = [index_subwords(w, model.merges, model.subwords) for w in words]
-    lengths = np.array([len(s) for s in seqs], dtype=np.intp)
-    t_max = int(lengths.max())
-    idx = np.zeros((len(words), t_max), dtype=np.intp)
-    for i, seq in enumerate(seqs):
-        idx[i, : len(seq)] = seq
-    flat = ad.gather_rows(model.sub_emb, idx.reshape(-1))
-    x3 = ad.reshape(flat, (len(words), t_max, model.config.subword_dim))
+    x3, lengths = _gather_padded(model.sub_emb, seqs)
     h = neural.bigru_batch(x3, lengths, model.sub_enc_fwd, model.sub_enc_bwd)
     finals = neural.bigru_finals(h, lengths)
     return ad.affine(finals, model.sub_proj_w, model.sub_proj_b)
@@ -227,21 +236,39 @@ def augment_words(model: ReaderModel, words: list[str]) -> Tensor:
     return _combine(model.config.integration_op, we, se)
 
 
-def gated_attention_layer(h_doc: Tensor, h_query: Tensor) -> tuple[Tensor, Tensor]:
+def _length_mask(lengths: np.ndarray, width: int) -> np.ndarray:
+    """(B, width): 0 at each row's first `length` columns, -inf past them."""
+    return np.where(np.arange(width)[None, :] < lengths[:, None], 0.0, -np.inf)
+
+
+def gated_attention_layer(
+    h_doc: Tensor, h_query: Tensor, q_lens: np.ndarray
+) -> tuple[Tensor, Tensor]:
     """Per-token query attention followed by the elementwise gate.
 
-    Returns the gated document states (k_doc, dim) and the attention
-    matrix (k_doc, k_query) whose rows sum to one.
+    Takes padded document states (B, Td, dim), query states (B, Tq, dim)
+    and each row's query length; query columns past a row's length get
+    exactly zero attention and zero gradient. Returns the gated document
+    states (B, Td, dim) and the attention (B, Td, Tq), whose rows sum to one.
     """
-    if h_doc.ndim != 2 or h_query.ndim != 2:
-        raise ValueError("gated_attention_layer: expected 2-D state matrices")
-    if h_doc.shape[1] != h_query.shape[1]:
+    if h_doc.ndim != 3 or h_query.ndim != 3:
+        raise ValueError("gated_attention_layer: expected 3-D state batches")
+    if h_doc.shape[2] != h_query.shape[2]:
         raise ValueError(
             "gated_attention_layer: state dims differ "
-            f"({h_doc.shape[1]} vs {h_query.shape[1]})"
+            f"({h_doc.shape[2]} vs {h_query.shape[2]})"
         )
+    batch, t_doc, t_query = h_doc.shape[0], h_doc.shape[1], h_query.shape[1]
+    q_lens = np.asarray(q_lens, dtype=np.intp)
+    if q_lens.shape != (batch,) or (q_lens < 1).any() or (q_lens > t_query).any():
+        raise ValueError(
+            "gated_attention_layer: query lengths must be in [1, Tq] per batch row"
+        )
+    mask = np.broadcast_to(
+        _length_mask(q_lens, t_query)[:, None, :], (batch, t_doc, t_query)
+    )
     scores = ad.matmul(h_doc, ad.transpose(h_query))
-    alpha = ad.softmax(scores)
+    alpha = ad.softmax(ad.add(scores, Tensor(mask)))
     beta = ad.matmul(alpha, h_query)
     return ad.mul(h_doc, beta), alpha
 
@@ -280,21 +307,15 @@ def forward_batch(
             if token not in distinct:
                 distinct[token] = len(distinct)
     embedded = augment_words(model, list(distinct))
+    x_doc, d_lens = _gather_padded(
+        embedded, [[distinct[t] for t in ex.document] for ex in examples]
+    )
+    x_query, q_lens = _gather_padded(
+        embedded, [[distinct[t] for t in ex.query] for ex in examples]
+    )
 
-    doc_mats = [
-        ad.gather_rows(embedded, [distinct[t] for t in ex.document])
-        for ex in examples
-    ]
-    query_mats = [
-        ad.gather_rows(embedded, [distinct[t] for t in ex.query])
-        for ex in examples
-    ]
-    x_doc, d_lens = ad.pad_stack(doc_mats)
-    x_query, q_lens = ad.pad_stack(query_mats)
-
-    alphas: list[list[np.ndarray]] = [[] for _ in examples]
     doc_in = x_doc
-    hq_final: list[Tensor] = []
+    alphas: list[Tensor] = []
     for layer_i, layer in enumerate(model.layers, start=1):
         d_in, q_in = doc_in, x_query
         if layer_i > 1 and mode == "train" and cfg.dropout > 0:
@@ -302,27 +323,31 @@ def forward_batch(
             q_in = neural.dropout(q_in, cfg.dropout, mode, rng)
         h_doc = neural.bigru_batch(d_in, d_lens, layer.doc_fwd, layer.doc_bwd)
         h_query = neural.bigru_batch(q_in, q_lens, layer.query_fwd, layer.query_bwd)
-        gated: list[Tensor] = []
-        hq_final = []
-        for i in range(len(examples)):
-            hd_i = ad.slice_rows(h_doc, i, int(d_lens[i]))
-            hq_i = ad.slice_rows(h_query, i, int(q_lens[i]))
-            x_i, alpha_i = gated_attention_layer(hd_i, hq_i)
-            gated.append(x_i)
-            hq_final.append(hq_i)
-            if collect_attention:
-                alphas[i].append(alpha_i.data.copy())
-        doc_in, d_lens = ad.pad_stack(gated)
+        doc_in, alpha = gated_attention_layer(h_doc, h_query, q_lens)
+        alphas.append(alpha)
+
+    # answer pointer: each row's placeholder state scores every document
+    # position, and one softmax over the real positions gives p
+    batch, t_query, width = h_query.shape
+    t_doc = doc_in.shape[1]
+    rows = np.arange(batch) * t_query + [ex.placeholder_position for ex in examples]
+    q_t = ad.gather_rows(ad.reshape(h_query, (batch * t_query, width)), rows)
+    scores = ad.matmul(doc_in, ad.reshape(q_t, (batch, width, 1)))
+    probs = ad.softmax(
+        ad.add(ad.reshape(scores, (batch, t_doc)), Tensor(_length_mask(d_lens, t_doc)))
+    )
 
     results: list[ForwardPass] = []
     for i, ex in enumerate(examples):
-        h_final = ad.slice_rows(doc_in, i, int(d_lens[i]))
-        q_t = ad.take_row(hq_final[i], ex.placeholder_position)
-        p = ad.softmax(ad.matmul(h_final, q_t))
+        d_len, q_len = int(d_lens[i]), int(q_lens[i])
+        p = ad.slice_rows(probs, i, d_len)
         dist = build_distribution(p.data, ex.document)
-        results.append(
-            ForwardPass(ex, p, dist, alphas[i] if collect_attention else None)
+        ex_alphas = (
+            [a.data[i, :d_len, :q_len].copy() for a in alphas]
+            if collect_attention
+            else None
         )
+        results.append(ForwardPass(ex, p, dist, ex_alphas))
     return results
 
 

@@ -62,7 +62,7 @@ def loss_node(pass_result, answer_word: str) -> Tensor:
             f"unanswerable example {pass_result.example.id!r}: "
             f"answer {answer_word!r} does not occur in the document"
         )
-    return ad.neg(ad.log_floored(ad.sum_at(pass_result.p, positions), LOSS_FLOOR))
+    return ad.nll_at(pass_result.p, positions, LOSS_FLOOR)
 
 
 def clip_gradients(

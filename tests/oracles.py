@@ -1,10 +1,11 @@
 """Test-only tape ops and reference implementations.
 
 The package never calls these. The per-step GRU and single-sequence BiGRU
-are the oracles the fused batched scan is checked against, replay_segment
-is the one rank-jumping segmentation is checked against, and grad_check
-is the one finite-difference checker; the small tape ops and the scalar
-loss and norm helpers keep the tests short.
+are the oracles the fused batched scan is checked against,
+gated_attention_2d is the one the batched masked attention is checked
+against, replay_segment is the one rank-jumping segmentation is checked
+against, and grad_check is the one finite-difference checker; the small
+tape ops and the scalar loss and norm helpers keep the tests short.
 """
 
 import numpy as np
@@ -39,6 +40,75 @@ def scale(a: Tensor, c: float) -> Tensor:
 
     def backward():
         ad.accumulate(a, out.grad * c)
+
+    return ad._record(out, (a,), backward)
+
+
+def neg(a: Tensor) -> Tensor:
+    out = Tensor(-a.data)
+    if not ad._needs(a):
+        return out
+
+    def backward():
+        ad.accumulate(a, -out.grad)
+
+    return ad._record(out, (a,), backward)
+
+
+def sum_at(p: Tensor, indices) -> Tensor:
+    """Scalar sum of selected entries of a 1-D tensor."""
+    idx = np.asarray(indices, dtype=np.intp)
+    if p.ndim != 1:
+        raise ValueError("sum_at: expected a 1-D tensor")
+    out = Tensor(p.data[idx].sum())
+    if not ad._needs(p):
+        return out
+
+    def backward():
+        if p.grad is None:
+            p.grad = np.zeros_like(p.data)
+        np.add.at(p.grad, idx, out.grad)
+
+    return ad._record(out, (p,), backward)
+
+
+def log_floored(x: Tensor, floor: float = 1e-12) -> Tensor:
+    """log(max(x, floor)) on a scalar; gradient is zero below the floor."""
+    if x.data.size != 1:
+        raise ValueError("log_floored: expected a scalar")
+    val = float(x.data)
+    out = Tensor(np.log(max(val, floor)))
+    if not ad._needs(x):
+        return out
+
+    def backward():
+        if val >= floor:
+            ad.accumulate(x, out.grad / val)
+
+    return ad._record(out, (x,), backward)
+
+
+def weighted_sum(t: Tensor, weights) -> Tensor:
+    """Collapse any tensor to a scalar with fixed weights; keeps the output
+    gradient non-uniform so transposed or misrouted gradients get caught."""
+    flat = t if t.ndim == 1 else ad.reshape(t, (t.data.size,))
+    w = Tensor(np.asarray(weights, dtype=np.float64).reshape(-1))
+    return sum_at(ad.mul(flat, w), np.arange(flat.data.size))
+
+
+def take_row(a: Tensor, i: int) -> Tensor:
+    if a.ndim != 2:
+        raise ValueError("take_row: expected a 2-D tensor")
+    if not 0 <= i < a.shape[0]:
+        raise ValueError(f"take_row: row {i} out of range for {a.shape}")
+    out = Tensor(a.data[i])
+    if not ad._needs(a):
+        return out
+
+    def backward():
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[i] += out.grad
 
     return ad._record(out, (a,), backward)
 
@@ -115,11 +185,15 @@ def gru_step(x: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:
     def gate(v: Tensor, i: int) -> Tensor:
         return slice1d(v, i * hid, (i + 1) * hid)
 
-    wx = ad.matmul(p.W, x)
-    a = ad.add(ad.add(wx, ad.matmul(p.U, h_prev)), p.b)
+    def matvec(m: Tensor, v: Tensor) -> Tensor:
+        col = ad.matmul(m, ad.reshape(v, (v.shape[0], 1)))
+        return ad.reshape(col, (m.shape[0],))
+
+    wx = matvec(p.W, x)
+    a = ad.add(ad.add(wx, matvec(p.U, h_prev)), p.b)
     r = sigmoid(gate(a, 0))
     z = sigmoid(gate(a, 1))
-    u_rh = ad.matmul(p.U, ad.mul(r, h_prev))
+    u_rh = matvec(p.U, ad.mul(r, h_prev))
     h_cand = tanh(ad.add(ad.add(gate(wx, 2), gate(u_rh, 2)), gate(p.b, 2)))
     ones = Tensor(np.ones(hid))
     return ad.add(ad.mul(sub(ones, z), h_prev), ad.mul(z, h_cand))
@@ -143,9 +217,19 @@ def bigru(seq, fwd: GruParams, bwd: GruParams):
     lengths = np.array([steps], dtype=np.intp)
     h3 = bigru_batch(x3, lengths, fwd, bwd)
     outputs = ad.slice_rows(h3, 0, steps)
-    finals = ad.take_row(bigru_finals(h3, lengths), 0)
+    finals = take_row(bigru_finals(h3, lengths), 0)
     hid = fwd.hidden_dim
     return outputs, (slice1d(finals, 0, hid), slice1d(finals, hid, 2 * hid))
+
+
+def gated_attention_2d(h_doc: Tensor, h_query: Tensor) -> tuple[Tensor, Tensor]:
+    """One example's gated attention over its unpadded (k_doc, dim) and
+    (k_query, dim) states: the gated states and the (k_doc, k_query)
+    attention."""
+    scores = ad.matmul(h_doc, ad.transpose(h_query))
+    alpha = ad.softmax(scores)
+    beta = ad.matmul(alpha, h_query)
+    return ad.mul(h_doc, beta), alpha
 
 
 def replay_segment(word: str, table: MergeTable) -> tuple[str, ...]:

@@ -6,15 +6,20 @@ import pytest
 from sawreader import autodiff as ad
 from sawreader.autodiff import Tensor
 
-from oracles import grad_check, scale, sigmoid, slice1d, stack_rows, sub, tanh
-
-
-def _weighted_sum(t, weights):
-    """Collapse any tensor to a scalar with fixed weights; keeps the output
-    gradient non-uniform so transposed or misrouted gradients get caught."""
-    flat = t if t.ndim == 1 else ad.reshape(t, (t.data.size,))
-    w = Tensor(np.asarray(weights, dtype=np.float64).reshape(-1))
-    return ad.sum_at(ad.mul(flat, w), np.arange(flat.data.size))
+from oracles import (
+    grad_check,
+    log_floored,
+    neg,
+    scale,
+    sigmoid,
+    slice1d,
+    stack_rows,
+    sub,
+    sum_at,
+    take_row,
+    tanh,
+    weighted_sum,
+)
 
 
 # every finite-difference check here uses these
@@ -36,11 +41,11 @@ def test_add_sub_mul_neg_scale_grads():
     a = _leaf(RNG, 3, 2)
     b = _leaf(RNG, 3, 2)
     w = _fixed(6)
-    assert grad_check(lambda: _weighted_sum(ad.add(a, b), w), [a, b], eps=EPS) < TOL
-    assert grad_check(lambda: _weighted_sum(sub(a, b), w), [a, b], eps=EPS) < TOL
-    assert grad_check(lambda: _weighted_sum(ad.mul(a, b), w), [a, b], eps=EPS) < TOL
-    assert grad_check(lambda: _weighted_sum(ad.neg(a), w), [a], eps=EPS) < TOL
-    assert grad_check(lambda: _weighted_sum(scale(a, -1.7), w), [a], eps=EPS) < TOL
+    assert grad_check(lambda: weighted_sum(ad.add(a, b), w), [a, b], eps=EPS) < TOL
+    assert grad_check(lambda: weighted_sum(sub(a, b), w), [a, b], eps=EPS) < TOL
+    assert grad_check(lambda: weighted_sum(ad.mul(a, b), w), [a, b], eps=EPS) < TOL
+    assert grad_check(lambda: weighted_sum(neg(a), w), [a], eps=EPS) < TOL
+    assert grad_check(lambda: weighted_sum(scale(a, -1.7), w), [a], eps=EPS) < TOL
 
 
 def test_elementwise_shape_mismatch():
@@ -56,10 +61,21 @@ def test_matmul_grads_and_errors():
     b = _leaf(RNG, 4, 2)
     v = _leaf(RNG, 4)
     w6, w3 = _fixed(6), _fixed(3)
-    assert grad_check(lambda: _weighted_sum(ad.matmul(a, b), w6), [a, b], eps=EPS) < TOL
-    assert grad_check(lambda: _weighted_sum(ad.matmul(a, v), w3), [a, v], eps=EPS) < TOL
+    assert grad_check(lambda: weighted_sum(ad.matmul(a, b), w6), [a, b], eps=EPS) < TOL
+    column = lambda: ad.matmul(a, ad.reshape(v, (4, 1)))
+    assert grad_check(lambda: weighted_sum(column(), w3), [a, v], eps=EPS) < TOL
+    # batched: one product per leading index; a generator of its own keeps
+    # the shared stream, and so every later test's data, as it was
+    rng = np.random.default_rng(7)
+    a3, b3 = _leaf(rng, 2, 3, 4), _leaf(rng, 2, 4, 2)
+    w12 = rng.standard_normal(12)
+    assert grad_check(lambda: weighted_sum(ad.matmul(a3, b3), w12), [a3, b3], eps=EPS) < TOL
     with pytest.raises(ValueError, match="inner dim"):
         ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+    with pytest.raises(ValueError, match="inner dim"):
+        ad.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 2))))
+    with pytest.raises(ValueError, match="unsupported ranks"):
+        ad.matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros(4)))
     with pytest.raises(ValueError, match="unsupported ranks"):
         ad.matmul(Tensor(np.zeros(3)), Tensor(np.zeros(3)))
 
@@ -71,7 +87,7 @@ def test_affine_matches_manual_and_grads():
     out = ad.affine(x, w, b)
     assert np.allclose(out.data, x.data @ w.data.T + b.data, atol=1e-15)
     w10 = _fixed(10)
-    objective = lambda: _weighted_sum(ad.affine(x, w, b), w10)
+    objective = lambda: weighted_sum(ad.affine(x, w, b), w10)
     assert grad_check(objective, [x, w, b], eps=EPS) < TOL
     with pytest.raises(ValueError, match="shape mismatch"):
         ad.affine(x, w, Tensor(np.zeros(3)))
@@ -80,7 +96,7 @@ def test_affine_matches_manual_and_grads():
 def test_transpose_grads():
     a = _leaf(RNG, 2, 5)
     w = _fixed(10)
-    assert grad_check(lambda: _weighted_sum(ad.transpose(a), w), [a], eps=EPS) < TOL
+    assert grad_check(lambda: weighted_sum(ad.transpose(a), w), [a], eps=EPS) < TOL
 
 
 def test_sigmoid_values_and_stability():
@@ -95,8 +111,8 @@ def test_sigmoid_values_and_stability():
 def test_sigmoid_tanh_grads():
     a = _leaf(RNG, 7)
     w = _fixed(7)
-    assert grad_check(lambda: _weighted_sum(sigmoid(a), w), [a], eps=EPS) < TOL
-    assert grad_check(lambda: _weighted_sum(tanh(a), w), [a], eps=EPS) < TOL
+    assert grad_check(lambda: weighted_sum(sigmoid(a), w), [a], eps=EPS) < TOL
+    assert grad_check(lambda: weighted_sum(tanh(a), w), [a], eps=EPS) < TOL
 
 
 def test_softmax_known_values():
@@ -113,17 +129,36 @@ def test_softmax_rows_and_grads():
     y = ad.softmax(a)
     assert np.allclose(y.data.sum(axis=1), 1.0, atol=1e-12)
     w12 = _fixed(12)
-    assert grad_check(lambda: _weighted_sum(ad.softmax(a), w12), [a], eps=EPS) < TOL
+    assert grad_check(lambda: weighted_sum(ad.softmax(a), w12), [a], eps=EPS) < TOL
     v = _leaf(RNG, 5)
     w5 = _fixed(5)
-    assert grad_check(lambda: _weighted_sum(ad.softmax(v), w5), [v], eps=EPS) < TOL
+    assert grad_check(lambda: weighted_sum(ad.softmax(v), w5), [v], eps=EPS) < TOL
 
 
 def test_softmax_rejects_nan_and_bad_rank():
     with pytest.raises(ValueError, match="NaN"):
         ad.softmax(Tensor(np.array([1.0, np.nan])))
-    with pytest.raises(ValueError, match="1-D or 2-D"):
-        ad.softmax(Tensor(np.zeros((2, 2, 2))))
+    with pytest.raises(ValueError, match="1-D, 2-D or 3-D"):
+        ad.softmax(Tensor(np.zeros((2, 2, 2, 2))))
+
+
+def test_batched_transpose_softmax_and_masked_entries():
+    rng = np.random.default_rng(8)
+    a = _leaf(rng, 2, 3, 4)
+    w24 = rng.standard_normal(24)
+    # the gradient of a weighted sum of the transpose is the weights swapped back
+    weighted_sum(ad.transpose(a), w24).backward()
+    assert np.array_equal(a.grad, np.swapaxes(w24.reshape(2, 4, 3), -1, -2))
+    assert grad_check(lambda: weighted_sum(ad.softmax(a), w24), [a], eps=EPS) < TOL
+    # a -inf entry gets probability exactly 0 and passes back no gradient
+    mask = np.zeros((2, 3, 4))
+    mask[0, :, 2:] = -np.inf
+    y = ad.softmax(ad.add(a, Tensor(mask)))
+    assert np.array_equal(y.data[0, :, 2:], np.zeros((3, 2)))
+    assert np.allclose(y.data.sum(axis=-1), 1.0, atol=1e-12)
+    a.grad = None
+    weighted_sum(y, w24).backward()
+    assert np.array_equal(a.grad[0, :, 2:], np.zeros((3, 2)))
 
 
 def test_concat_grads_both_axes():
@@ -131,9 +166,9 @@ def test_concat_grads_both_axes():
     b = _leaf(RNG, 4, 3)
     c = _leaf(RNG, 2, 2)
     w18, w10 = _fixed(18), _fixed(10)
-    objective = lambda: _weighted_sum(ad.concat([a, b], axis=0), w18)
+    objective = lambda: weighted_sum(ad.concat([a, b], axis=0), w18)
     assert grad_check(objective, [a, b], eps=EPS) < TOL
-    objective = lambda: _weighted_sum(ad.concat([a, c], axis=1), w10)
+    objective = lambda: weighted_sum(ad.concat([a, c], axis=1), w10)
     assert grad_check(objective, [a, c], eps=EPS) < TOL
     with pytest.raises(ValueError, match="empty"):
         ad.concat([])
@@ -143,20 +178,20 @@ def test_stack_rows_grads():
     a = _leaf(RNG, 4)
     b = _leaf(RNG, 4)
     w = _fixed(8)
-    objective = lambda: _weighted_sum(stack_rows([a, b]), w)
+    objective = lambda: weighted_sum(stack_rows([a, b]), w)
     assert grad_check(objective, [a, b], eps=EPS) < TOL
 
 
 def test_reshape_grads():
     a = _leaf(RNG, 2, 6)
     w = _fixed(12)
-    objective = lambda: _weighted_sum(ad.reshape(a, (3, 4)), w)
+    objective = lambda: weighted_sum(ad.reshape(a, (3, 4)), w)
     assert grad_check(objective, [a], eps=EPS) < TOL
 
 
 def test_gather_rows_accumulates_duplicates():
     table = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-    out = ad.sum_at(ad.reshape(ad.gather_rows(table, [0, 0, 2]), (6,)), range(6))
+    out = sum_at(ad.reshape(ad.gather_rows(table, [0, 0, 2]), (6,)), range(6))
     out.backward()
     assert np.array_equal(table.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
@@ -164,52 +199,36 @@ def test_gather_rows_accumulates_duplicates():
 def test_gather_rows_grads():
     table = _leaf(RNG, 4, 3)
     w = _fixed(12)
-    objective = lambda: _weighted_sum(ad.gather_rows(table, [1, 1, 3, 0]), w)
+    objective = lambda: weighted_sum(ad.gather_rows(table, [1, 1, 3, 0]), w)
     assert grad_check(objective, [table], eps=EPS) < TOL
 
 
 def test_take_row_and_slices():
     a = _leaf(RNG, 4, 3)
     w3 = _fixed(3)
-    assert grad_check(lambda: _weighted_sum(ad.take_row(a, 2), w3), [a], eps=EPS) < TOL
+    assert grad_check(lambda: weighted_sum(take_row(a, 2), w3), [a], eps=EPS) < TOL
     with pytest.raises(ValueError, match="out of range"):
-        ad.take_row(a, 4)
+        take_row(a, 4)
     v = _leaf(RNG, 6)
     w3b = _fixed(3)
-    assert grad_check(lambda: _weighted_sum(slice1d(v, 1, 4), w3b), [v], eps=EPS) < TOL
-
-
-def test_pad_stack_values_and_grads():
-    a = _leaf(RNG, 2, 3)
-    b = _leaf(RNG, 4, 3)
-    out, lengths = ad.pad_stack([a, b])
-    assert out.shape == (2, 4, 3)
-    assert lengths.tolist() == [2, 4]
-    assert np.array_equal(out.data[0, 2:], np.zeros((2, 3)))
-
-    w = _fixed(24)
-
-    def objective():
-        stacked, _ = ad.pad_stack([a, b])
-        return _weighted_sum(stacked, w)
-
-    assert grad_check(objective, [a, b], eps=EPS) < TOL
-    with pytest.raises(ValueError, match="equal width"):
-        ad.pad_stack([a, Tensor(np.zeros((2, 4)))])
-    with pytest.raises(ValueError, match="at least one row"):
-        ad.pad_stack([Tensor(np.zeros((0, 3)))])
+    assert grad_check(lambda: weighted_sum(slice1d(v, 1, 4), w3b), [v], eps=EPS) < TOL
 
 
 def test_slice_rows_grads():
     a = _leaf(RNG, 2, 4, 3)
     w = _fixed(6)
-    objective = lambda: _weighted_sum(ad.slice_rows(a, 1, 2), w)
+    objective = lambda: weighted_sum(ad.slice_rows(a, 1, 2), w)
     assert grad_check(objective, [a], eps=EPS) < TOL
+    rng = np.random.default_rng(9)
+    m = _leaf(rng, 3, 5)
+    w2 = rng.standard_normal(2)
+    objective = lambda: weighted_sum(ad.slice_rows(m, 2, 2), w2)
+    assert grad_check(objective, [m], eps=EPS) < TOL
 
 
 def test_sum_at_duplicate_indices():
     p = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
-    out = ad.sum_at(p, [0, 0, 2])
+    out = sum_at(p, [0, 0, 2])
     assert out.item() == pytest.approx(5.0)
     out.backward()
     assert np.array_equal(p.grad, [2.0, 0.0, 1.0])
@@ -217,15 +236,34 @@ def test_sum_at_duplicate_indices():
 
 def test_log_floored_gradient_and_floor():
     x = Tensor(np.array(0.25), requires_grad=True)
-    out = ad.log_floored(x)
+    out = log_floored(x)
     out.backward()
     assert out.item() == pytest.approx(np.log(0.25))
     assert x.grad == pytest.approx(4.0)
     below = Tensor(np.array(1e-30), requires_grad=True)
-    out = ad.log_floored(below)
+    out = log_floored(below)
     out.backward()
     assert out.item() == pytest.approx(np.log(1e-12))
     assert below.grad is None or below.grad == 0.0
+
+
+def test_nll_at_matches_composition_and_finite_differences():
+    # the answer word occurs at positions 0, 2 and 3
+    p = Tensor(np.array([0.1, 0.3, 0.2, 0.15, 0.25]), requires_grad=True)
+    positions = [0, 2, 3]
+    out = ad.nll_at(p, positions, 1e-12)
+    ref = neg(log_floored(sum_at(p, positions), 1e-12))
+    assert out.item() == ref.item() == pytest.approx(-np.log(0.45))
+    assert grad_check(lambda: ad.nll_at(p, positions, 1e-12), [p], eps=EPS) < TOL
+    p.grad = None
+    out.backward()
+    assert np.allclose(p.grad, [-1 / 0.45, 0.0, -1 / 0.45, -1 / 0.45, 0.0], rtol=1e-14)
+    # below the floor the value is -log(floor) and the gradient is zero
+    tiny = Tensor(np.array([1e-30, 0.5, 1e-30]), requires_grad=True)
+    out = ad.nll_at(tiny, [0, 2], 1e-12)
+    assert out.item() == pytest.approx(-np.log(1e-12))
+    out.backward()
+    assert tiny.grad is None or not tiny.grad.any()
 
 
 def test_mean_of_grads():

@@ -400,3 +400,16 @@ def test_subword_vocab_load_requires_unknown_first(tmp_path):
     path.write_text("ab\nc\n")
     with pytest.raises(ValueError, match="unknown unit"):
         SubwordVocab.load(path)
+
+
+def test_subword_vocab_load_errors_name_file_and_line(tmp_path):
+    path = tmp_path / "subwords.tsv"
+    path.write_text(f"{SUBWORD_UNK}\nab\nc\n\nab\n")
+    with pytest.raises(ValueError, match=r"^subwords.tsv line 5: duplicate subword unit 'ab'$"):
+        SubwordVocab.load(path)
+    path.write_text(f"\nab\n{SUBWORD_UNK}\n")
+    with pytest.raises(ValueError, match=r"^subwords.tsv line 2: .*unknown unit"):
+        SubwordVocab.load(path)
+    path.write_text("\n")
+    with pytest.raises(ValueError, match=r"^subwords.tsv: empty"):
+        SubwordVocab.load(path)

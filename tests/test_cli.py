@@ -287,6 +287,22 @@ def test_corrupt_merge_table_fails_eval_with_one_error_line(workspace, capsys):
     assert err.startswith("error: merges.txt line 3: expected left<TAB>right")
 
 
+def test_corrupt_subword_vocab_fails_eval_with_one_error_line(workspace, capsys):
+    tmp_path, data_dir, config_path = workspace
+    ckpt = tmp_path / "ckpt"
+    rc = main(["train", "--config", str(config_path), "--data", str(data_dir), "--out", str(ckpt)])
+    assert rc == 0
+    lines = (ckpt / "subwords.tsv").read_text().splitlines()
+    lines[3] = lines[2]
+    (ckpt / "subwords.tsv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(ckpt), "--input", str(data_dir / "test.jsonl")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: subwords.tsv line 4: duplicate subword unit {lines[2]!r}")
+
+
 def test_unknown_config_key_rejected(workspace, tmp_path, capsys):
     _, data_dir, _ = workspace
     config = tmp_path / "bad.cfg"

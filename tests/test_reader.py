@@ -1,15 +1,18 @@
 """Embedding fusion, gated attention, answer aggregation, and checkpoints."""
 
+import functools
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sawreader import autodiff as ad
 from sawreader.autodiff import Tensor
 from sawreader.bpe import segment_word
 from sawreader.data import ClozeExample
-from sawreader.harness import build_pipeline
+from sawreader.harness import build_pipeline, new_model
 from sawreader.reader import (
     ReaderConfig,
     ReaderModel,
@@ -22,10 +25,11 @@ from sawreader.reader import (
     save_model,
     subword_encode_batch,
 )
+from sawreader.synth import SyntheticSpec, generate_synthetic
 from sawreader.training import loss_node
 from sawreader.vocab import index_subwords, save_short_list
 
-from oracles import grad_check
+from oracles import gated_attention_2d, grad_check, weighted_sum
 
 
 def _examples():
@@ -150,17 +154,141 @@ def test_fusion_operators_against_manual_branches():
 
 def test_gated_attention_rows_and_gating():
     rng = np.random.default_rng(0)
-    h_doc = Tensor(rng.standard_normal((5, 4)))
-    h_query = Tensor(rng.standard_normal((3, 4)))
-    gated, alpha = gated_attention_layer(h_doc, h_query)
-    assert alpha.shape == (5, 3)
-    assert np.allclose(alpha.data.sum(axis=1), 1.0, atol=1e-12)
+    h_doc = Tensor(rng.standard_normal((2, 5, 4)))
+    h_query = Tensor(rng.standard_normal((2, 3, 4)))
+    q_lens = np.array([3, 2])
+    gated, alpha = gated_attention_layer(h_doc, h_query, q_lens)
+    assert alpha.shape == (2, 5, 3)
+    assert np.allclose(alpha.data.sum(axis=2), 1.0, atol=1e-12)
+    assert np.array_equal(alpha.data[1, :, 2], np.zeros(5))
     beta = alpha.data @ h_query.data
     assert np.allclose(gated.data, h_doc.data * beta, atol=1e-12)
     with pytest.raises(ValueError, match="state dims differ"):
-        gated_attention_layer(h_doc, Tensor(rng.standard_normal((3, 5))))
-    with pytest.raises(ValueError, match="2-D"):
-        gated_attention_layer(Tensor(np.zeros(4)), h_query)
+        gated_attention_layer(h_doc, Tensor(rng.standard_normal((2, 3, 5))), q_lens)
+    with pytest.raises(ValueError, match="3-D"):
+        gated_attention_layer(Tensor(np.zeros((5, 4))), h_query, q_lens)
+    with pytest.raises(ValueError, match="query lengths"):
+        gated_attention_layer(h_doc, h_query, np.array([3, 4]))
+
+
+@st.composite
+def _attention_cases(draw):
+    t_doc, t_query = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    batch = draw(st.integers(1, 4))
+    d_lens = draw(st.lists(st.integers(1, t_doc), min_size=batch, max_size=batch))
+    q_lens = draw(st.lists(st.integers(1, t_query), min_size=batch, max_size=batch))
+    return (
+        np.array(d_lens),
+        np.array(q_lens),
+        t_doc,
+        t_query,
+        draw(st.integers(1, 5)),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(deadline=None, max_examples=40)
+@given(_attention_cases())
+def test_batched_attention_matches_per_example_oracle(case):
+    d_lens, q_lens, t_doc, t_query, dim, seed = case
+    rng = np.random.default_rng(seed)
+    batch = len(d_lens)
+    # padded rows and columns hold noise, not zeros
+    h_doc = Tensor(rng.standard_normal((batch, t_doc, dim)), requires_grad=True)
+    h_query = Tensor(rng.standard_normal((batch, t_query, dim)), requires_grad=True)
+    real_doc = np.arange(t_doc)[None, :] < d_lens[:, None]
+    real_query = np.arange(t_query)[None, :] < q_lens[:, None]
+    w_gated = rng.standard_normal((batch, t_doc, dim)) * real_doc[:, :, None]
+    w_alpha = (
+        rng.standard_normal((batch, t_doc, t_query))
+        * real_doc[:, :, None]
+        * real_query[:, None, :]
+    )
+    gated, alpha = gated_attention_layer(h_doc, h_query, q_lens)
+    ad.add(weighted_sum(gated, w_gated), weighted_sum(alpha, w_alpha)).backward()
+
+    padded_query = np.broadcast_to(~real_query[:, None, :], alpha.shape)
+    assert not alpha.data[padded_query].any()
+    assert not h_query.grad[~real_query].any()
+    for i, (dl, ql) in enumerate(zip(d_lens, q_lens)):
+        hd = Tensor(h_doc.data[i, :dl].copy(), requires_grad=True)
+        hq = Tensor(h_query.data[i, :ql].copy(), requires_grad=True)
+        g_i, a_i = gated_attention_2d(hd, hq)
+        ad.add(
+            weighted_sum(g_i, w_gated[i, :dl]), weighted_sum(a_i, w_alpha[i, :dl, :ql])
+        ).backward()
+        close = functools.partial(np.testing.assert_allclose, rtol=0, atol=1e-12)
+        close(gated.data[i, :dl], g_i.data)
+        close(alpha.data[i, :dl, :ql], a_i.data)
+        close(h_doc.grad[i, :dl], hd.grad)
+        close(h_query.grad[i, :ql], hq.grad)
+
+
+@functools.lru_cache(maxsize=None)
+def _synthetic_reader():
+    """A small concat model, its training split, and each example's solo pass."""
+    splits = generate_synthetic(
+        SyntheticSpec(
+            vocab_size=30, entity_pool=8, doc_len_range=(8, 16), num_examples=40, seed=3
+        )
+    )
+    pool = splits["train"]
+    config = ReaderConfig(
+        integration_op="concat",
+        num_layers=2,
+        hidden=4,
+        word_dim=5,
+        subword_dim=4,
+        gamma=0.8,
+        num_merges=20,
+        dropout=0.5,
+    )
+    model = new_model(pool, config, seed=1)
+    with ad.no_grad():
+        solo = {ex.id: forward_batch(model, [ex])[0] for ex in pool}
+    return model, pool, solo
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_forward_batch_equals_solo_passes(data):
+    model, pool, solo = _synthetic_reader()
+    # the pool mixes document and query lengths, so every batch pads
+    assert len({len(ex.document) for ex in pool}) > 1
+    assert len({len(ex.query) for ex in pool}) > 1
+    picks = data.draw(
+        st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8, unique=True)
+    )
+    batch = [pool[i] for i in picks]
+    with ad.no_grad():
+        passes = forward_batch(model, batch)
+    for ex, fp in zip(batch, passes):
+        alone = solo[ex.id]
+        assert fp.example is ex
+        np.testing.assert_allclose(
+            fp.dist.per_position, alone.dist.per_position, rtol=0, atol=1e-12
+        )
+        assert answer(fp.dist) == answer(alone.dist)
+
+
+def test_train_forward_tape_grows_by_one_slice_per_example(monkeypatch):
+    # the batch stays one graph: an extra example adds only its own p slice
+    model, pool, _ = _synthetic_reader()
+    record = ad._record
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return record(*args)
+
+    monkeypatch.setattr(ad, "_record", counting)
+    nodes = {}
+    for n in (1, 8):
+        calls = 0
+        forward_batch(model, pool[:n], mode="train", rng=np.random.default_rng(0))
+        nodes[n] = calls
+    assert nodes[8] - nodes[1] <= 7, nodes
 
 
 def test_distribution_aggregates_repeated_words():
