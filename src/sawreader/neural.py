@@ -1,10 +1,12 @@
 """GRU recurrences, parameter storage, and dropout.
 
-The BiGRU is implemented as one fused tape node per direction: the whole
-batched sequence scan runs in numpy, and the hand-derived backward replays
-the cached gates. Padded positions are masked so each sequence keeps its
-own final state. The fused backward is validated against central finite
-differences in the test suite.
+The BiGRU is one fused tape node for both directions: the batched scan
+runs in numpy, and the hand-derived backward replays the cached gates.
+The scan works on the packed layout of pack_padded_sequence and cuDNN:
+rows sorted by length, so each step touches only the rows still running,
+and the backward direction starts each row at its own last token. Padded
+positions are never read. The fused backward is validated against a
+per-step oracle and central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -142,11 +144,18 @@ class ParamStore:
             offset += n
 
 
-def uniform_init(rng: np.random.Generator, shape, scale: float = INIT_SCALE):
+def uniform_init(
+    rng: np.random.Generator | None, shape, scale: float = INIT_SCALE
+) -> np.ndarray:
+    """Uniform in (-scale, scale). With no rng the values are left unset, for
+    a caller that overwrites every one: nothing is drawn, and np.empty
+    touches no memory until the values arrive."""
+    if rng is None:
+        return np.empty(shape)
     return rng.uniform(-scale, scale, size=shape)
 
 
-def fan_scaled_init(rng: np.random.Generator, shape):
+def fan_scaled_init(rng: np.random.Generator | None, shape) -> np.ndarray:
     """Uniform with limit sqrt(6 / (fan_in + fan_out)) for (out, in) matrices.
 
     Embeddings use the flat 0.05 scale; recurrence and projection weights
@@ -154,8 +163,7 @@ def fan_scaled_init(rng: np.random.Generator, shape):
     workable magnitude through the stacked gated layers.
     """
     fan_out, fan_in = shape
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+    return uniform_init(rng, shape, np.sqrt(6.0 / (fan_in + fan_out)))
 
 
 def init_gru(
@@ -163,99 +171,51 @@ def init_gru(
     prefix: str,
     input_dim: int,
     hidden_dim: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
 ) -> GruParams:
-    """Fan-scaled uniform gate weights, biases zero.
+    """Fan-scaled uniform gate weights, biases zero; unset with no rng.
 
     Each gate block gets its own (hidden, in) or (hidden, hidden) fan limit
     and draw; the draw order (the r, z, h blocks of W, then those of U) is
     fixed, since seeded initial values depend on it.
     """
-    w = [fan_scaled_init(rng, (hidden_dim, input_dim)) for _ in range(3)]
-    u = [fan_scaled_init(rng, (hidden_dim, hidden_dim)) for _ in range(3)]
+    shapes = ((hidden_dim, input_dim), (hidden_dim, hidden_dim))
+    if rng is None:
+        w, u = (np.empty((3 * rows, cols)) for rows, cols in shapes)
+    else:
+        w, u = (
+            np.concatenate([fan_scaled_init(rng, shape) for _ in range(3)])
+            for shape in shapes
+        )
     return GruParams(
-        W=store.add(f"{prefix}/W", np.concatenate(w)),
-        U=store.add(f"{prefix}/U", np.concatenate(u)),
+        W=store.add(f"{prefix}/W", w),
+        U=store.add(f"{prefix}/U", u),
         b=store.add(f"{prefix}/b", np.zeros(3 * hidden_dim)),
     )
 
 
-def _expit(x):
-    t = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+def _packing(lengths: np.ndarray, steps: int):
+    """The packed layout of a padded (B, steps) batch, as in a PackedSequence.
 
-
-def _gru_scan(x3, mask, p: GruParams, reverse: bool):
-    """Masked batched scan in one direction.
-
-    The input projection is one GEMM over all steps; the time loop does only
-    the recurrence. Returns the (B, T, h) states and the (B, T, 3h) gate
-    activations r, z and the candidate state, which the backward replays.
+    Rows are stable-sorted by length, longest first, so step s touches only
+    the first counts[s] of them, and slots run step-major: slot starts[s] + j
+    is sorted row j at step s. Returns the flat index into the padded
+    (B * steps) positions that each slot reads, as a (2, N_real) array whose
+    forward direction reads position s and backward direction position
+    len - 1 - s; counts and starts as lists; and each row's rank in the
+    sorted order.
     """
-    batch, steps, in_dim = x3.shape
-    hid = p.hidden_dim
-    u_rz, u_cand = p.U.data[: 2 * hid], p.U.data[2 * hid :]
-    b_rz, b_cand = p.b.data[: 2 * hid], p.b.data[2 * hid :]
-    # every step's input projection; each step overwrites its own slot with
-    # its gate activations once it has read it
-    gates = (x3.reshape(-1, in_dim) @ p.W.data.T).reshape(batch, steps, 3 * hid)
-    out = np.empty((batch, steps, hid))
-    h = np.zeros((batch, hid))
-    for t in range(steps - 1, -1, -1) if reverse else range(steps):
-        g = gates[:, t, :]
-        rz = _expit(g[:, : 2 * hid] + h @ u_rz.T + b_rz)
-        r, z = rz[:, :hid], rz[:, hid:]
-        h_cand = np.tanh(g[:, 2 * hid :] + (r * h) @ u_cand.T + b_cand)
-        m = mask[:, t : t + 1]
-        h = m * ((1.0 - z) * h + z * h_cand) + (1.0 - m) * h
-        out[:, t, :] = h
-        g[:, : 2 * hid] = rz
-        g[:, 2 * hid :] = h_cand
-    return out, gates
-
-
-def _gru_scan_backward(d_out, x3, mask, p: GruParams, out, gates, reverse: bool):
-    """Backpropagate through one direction's scan; returns (dx, dW, dU, db).
-
-    The loop fills the stacked pre-activation deltas (B, T, 3h); the weight,
-    bias and input gradients are then one GEMM or sum each over all steps.
-    """
-    batch, steps, in_dim = x3.shape
-    hid = p.hidden_dim
-    u_rz, u_cand = p.U.data[: 2 * hid], p.U.data[2 * hid :]
-    # the state each step read: the previous step's output in scan order
-    h_prev_all = np.zeros_like(out)
-    if reverse:
-        h_prev_all[:, :-1] = out[:, 1:]
-    else:
-        h_prev_all[:, 1:] = out[:, :-1]
-    da = np.empty((batch, steps, 3 * hid))
-    dh = np.zeros((batch, hid))
-    for t in range(steps) if reverse else range(steps - 1, -1, -1):
-        h_prev = h_prev_all[:, t]
-        r, z, h_cand = (gates[:, t, i * hid : (i + 1) * hid] for i in range(3))
-        m = mask[:, t : t + 1]
-        dh_total = d_out[:, t, :] + dh
-        dh_gru = m * dh_total
-        dh = (1.0 - m) * dh_total + dh_gru * (1.0 - z)
-        da_h = dh_gru * z * (1.0 - h_cand * h_cand)
-        drh = da_h @ u_cand
-        dh += drh * r
-        da[:, t, :hid] = drh * h_prev * r * (1.0 - r)
-        da[:, t, hid : 2 * hid] = dh_gru * (h_cand - h_prev) * z * (1.0 - z)
-        da[:, t, 2 * hid :] = da_h
-        dh += da[:, t, : 2 * hid] @ u_rz
-    flat = da.reshape(-1, 3 * hid)
-    dx = (flat @ p.W.data).reshape(x3.shape)
-    dw = flat.T @ x3.reshape(-1, in_dim)
-    rh = gates[:, :, :hid] * h_prev_all
-    du = np.concatenate(
-        [
-            flat[:, : 2 * hid].T @ h_prev_all.reshape(-1, hid),
-            flat[:, 2 * hid :].T @ rh.reshape(-1, hid),
-        ]
-    )
-    return dx, dw, du, flat.sum(axis=0)
+    order = np.argsort(-lengths, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    lens = lengths[order]
+    live = np.arange(lengths.max(initial=0))[:, None] < lens[None, :]
+    step, row = np.nonzero(live)
+    base = order[row] * steps
+    src = np.stack([base + step, base + lens[row] - 1 - step])
+    counts = live.sum(axis=1)
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    return src, counts.tolist(), starts.tolist(), rank
 
 
 def bigru_batch(
@@ -265,7 +225,16 @@ def bigru_batch(
 
     Output is (B, T, 2*hidden): forward states then backward states. The
     forward state at a sequence's last real position and the backward state
-    at position 0 are that sequence's final states.
+    at position 0 are that sequence's final states. Past its length a row's
+    forward state stays at its final state and its backward state is zero;
+    padded inputs are never read and get zero gradient.
+
+    Both directions run in one time loop over the packed real positions
+    (see _packing), with the states of step s stacked as (2, counts[s], h)
+    and one batched matmul per gate group. The input projection is one GEMM
+    per direction before the loop, into a (2, N_real, 3h) gate buffer that
+    each step overwrites with its activations r, z and the candidate state;
+    that buffer is what the hand-derived backward replays.
     """
     if x.ndim != 3:
         raise ValueError("bigru_batch: expected a (B, T, in) tensor")
@@ -279,32 +248,96 @@ def bigru_batch(
     lengths = np.asarray(lengths, dtype=np.intp)
     if lengths.shape != (batch,) or (lengths < 1).any() or (lengths > steps).any():
         raise ValueError("bigru_batch: lengths must be in [1, T] per batch row")
-    mask = (np.arange(steps)[None, :] < lengths[:, None]).astype(np.float64)
-    # backward direction: start the reverse scan at each row's own last token
-    # by masking, so padding never contaminates the state
-    out_f, gates_f = _gru_scan(x.data, mask, fwd, reverse=False)
-    out_b, gates_b = _gru_scan(x.data, mask, bwd, reverse=True)
-    out = Tensor(np.concatenate([out_f, out_b], axis=2))
+    hid = fwd.hidden_dim
+    dirs = (fwd, bwd)
+    src, counts, starts, rank = _packing(lengths, steps)
+    gates = np.empty((2, src.shape[1], 3 * hid))
+    for d, p in enumerate(dirs):
+        np.matmul(x.data.reshape(-1, in_dim)[src[d]], p.W.data.T, out=gates[d])
+        gates[d] += p.b.data
+    u_rz = np.stack([p.U.data[: 2 * hid] for p in dirs])
+    u_cand = np.stack([p.U.data[2 * hid :] for p in dirs])
+    states = np.empty((2, src.shape[1], hid))
+    h = np.zeros((2, batch, hid))
+    for lo, n in zip(starts, counts):
+        h = h[:, :n]
+        g = gates[:, lo : lo + n]
+        rz = g[..., : 2 * hid]
+        rz += h @ u_rz.transpose(0, 2, 1)
+        # sigmoid(a) = (1 + tanh(a / 2)) / 2: one transcendental ufunc, and
+        # stable at any magnitude
+        rz *= 0.5
+        np.tanh(rz, out=rz)
+        rz += 1.0
+        rz *= 0.5
+        r, z = rz[..., :hid], rz[..., hid:]
+        cand = g[..., 2 * hid :]
+        cand += (r * h) @ u_cand.transpose(0, 2, 1)
+        np.tanh(cand, out=cand)
+        h_new = states[:, lo : lo + n]
+        np.subtract(cand, h, out=h_new)
+        h_new *= z
+        h_new += h
+        h = h_new
+    # back to (B, T, 2h): each forward position past a row's length reads
+    # the row's final slot, and backward padding stays zero
+    last = np.minimum(np.arange(steps)[None, :], lengths[:, None] - 1)
+    res = np.zeros((batch, steps, 2 * hid))
+    res[:, :, :hid] = states[0][np.take(starts, last) + rank[:, None]]
+    res.reshape(-1, 2 * hid)[src[1], hid:] = states[1]
+    out = Tensor(res)
     parents = (x, fwd.W, fwd.U, fwd.b, bwd.W, bwd.U, bwd.b)
     if not ad._needs(*parents):
         return out
 
-    hid = fwd.hidden_dim
-
     def backward():
-        g = out.grad
-        dx_f, *grads_f = _gru_scan_backward(
-            g[:, :, :hid], x.data, mask, fwd, out.data[:, :, :hid], gates_f, False
+        g_out = out.grad.reshape(-1, 2 * hid)
+        d_state = np.stack([g_out[src[0], :hid], g_out[src[1], hid:]])
+        # a gradient on a frozen forward position reaches the final state
+        pad = np.arange(steps)[None, :] >= lengths[:, None]
+        if pad.any():
+            tail = np.where(pad[..., None], out.grad[..., :hid], 0.0).sum(axis=1)
+            d_state[0][np.take(starts, lengths - 1) + rank] += tail
+        # the state each slot after step 0 read: the previous position in its
+        # own direction (step 0 read zeros)
+        o_flat = out.data.reshape(-1, 2 * hid)
+        h_prev = np.stack(
+            [o_flat[src[0, batch:] - 1, :hid], o_flat[src[1, batch:] + 1, hid:]]
         )
-        dx_b, *grads_b = _gru_scan_backward(
-            g[:, :, hid:], x.data, mask, bwd, out.data[:, :, hid:], gates_b, True
-        )
-        if x.requires_grad:
-            ad.accumulate(x, dx_f + dx_b)
-        for p, grads in ((fwd, grads_f), (bwd, grads_b)):
+        da = np.empty_like(gates)
+        dh = np.zeros((2, 0, hid))  # nothing flows into the last step
+        for lo, n in zip(reversed(starts[:-1]), reversed(counts)):
+            dh_total = d_state[:, lo : lo + n]
+            dh_total[:, : dh.shape[1]] += dh
+            g = gates[:, lo : lo + n]
+            r, z, cand = g[..., :hid], g[..., hid : 2 * hid], g[..., 2 * hid :]
+            a = da[:, lo : lo + n]
+            da_cand = a[..., 2 * hid :]
+            np.multiply(dh_total, z, out=da_cand)
+            da_cand *= 1.0 - cand * cand
+            drh = da_cand @ u_cand
+            dh = dh_total * (1.0 - z) + drh * r
+            hp = h_prev[:, lo - batch : lo - batch + n] if lo else 0.0
+            a[..., :hid] = drh * hp * r * (1.0 - r)
+            a[..., hid : 2 * hid] = dh_total * (cand - hp) * z * (1.0 - z)
+            dh += a[..., : 2 * hid] @ u_rz
+        x_flat = x.data.reshape(-1, in_dim)
+        dx = np.zeros_like(x_flat)
+        for d, p in enumerate(dirs):
+            # step 0 read zeros, so only the later slots add to dU
+            da_later = da[d, batch:]
+            rh = gates[d, batch:, :hid] * h_prev[d]
+            du = np.concatenate(
+                [da_later[:, : 2 * hid].T @ h_prev[d], da_later[:, 2 * hid :].T @ rh]
+            )
+            grads = (da[d].T @ x_flat[src[d]], du, da[d].sum(axis=0))
             for t, grad in zip((p.W, p.U, p.b), grads):
                 if t.requires_grad:
                     ad.accumulate(t, grad)
+            if x.requires_grad:
+                dx[src[d]] += da[d] @ p.W.data
+        if x.requires_grad:
+            ad.accumulate(x, dx.reshape(x.shape))
 
     return ad._record(out, parents, backward)
 

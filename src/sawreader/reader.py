@@ -77,7 +77,9 @@ class ReaderModel:
     """Parameters plus the fitted tokenization artifacts.
 
     Parameter creation order is fixed; it defines both the rng draw
-    sequence at init and the checkpoint layout.
+    sequence at init and the checkpoint layout. With seed None the
+    parameters get their shapes only and nothing is drawn: load_model
+    overwrites every value.
     """
 
     def __init__(
@@ -87,7 +89,7 @@ class ReaderModel:
         subwords: SubwordVocab,
         vocab: Vocabulary,
         short_list: ShortList,
-        seed: int = 0,
+        seed: int | None = 0,
     ):
         self.config = config
         self.merges = merges
@@ -95,7 +97,7 @@ class ReaderModel:
         self.vocab = vocab
         self.short_list = short_list
         self.params = ParamStore()
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         store = self.params
         # word rows at near-unit norm: uniform limit 1/sqrt(d) keeps the fused
         # mul/sum signal at a trainable scale; subword rows use the flat 0.05
@@ -192,7 +194,7 @@ def _gather_padded(table: Tensor, seqs: list[list[int]]) -> tuple[Tensor, np.nda
     """Rows of a 2-D table for each index sequence, as a padded (B, T, D)
     batch, plus each sequence's length.
 
-    Padded positions read row 0. The masked GRU scans neither read them nor
+    Padded positions read row 0. The packed GRU scans neither read them nor
     send them gradient, and attention and the answer pointer mask them.
     """
     lengths = np.array([len(s) for s in seqs], dtype=np.intp)
@@ -391,6 +393,6 @@ def load_model(ckpt_dir) -> ReaderModel:
     vocab = Vocabulary.load(path("vocab"))
     short_list = build_short_list(vocab, config.gamma)
     subwords = SubwordVocab.load(path("subwords"))
-    model = ReaderModel(config, merges, subwords, vocab, short_list, seed=0)
+    model = ReaderModel(config, merges, subwords, vocab, short_list, seed=None)
     model.params.load_values(path("params"), path("manifest"))
     return model

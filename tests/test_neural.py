@@ -1,6 +1,6 @@
 """GRU semantics, the fused bidirectional scan, dropout, and checkpoints.
 
-The batched masked scan is checked two independent ways: value-for-value
+The packed bidirectional scan is checked two independent ways: value-for-value
 against a plain per-step loop built from gru_step, and gradient-for-gradient
 against central finite differences.
 """
@@ -199,11 +199,27 @@ def test_fused_backward_matches_stepwise_tape_gradients():
 
 
 @st.composite
+def _lengths(draw, min_rows=1):
+    """Up to 8 row lengths in the order given: free, extremely skewed (one
+    row at T, wherever it sits, the rest at 1) or all tied."""
+    steps = draw(st.integers(1, 6))
+    batch = draw(st.integers(min_rows, 8))
+    kind = draw(st.sampled_from(["free", "skew", "tied"]))
+    if kind == "free":
+        lengths = draw(st.lists(st.integers(1, steps), min_size=batch, max_size=batch))
+    elif kind == "skew":
+        lengths = [1] * batch
+        lengths[draw(st.integers(0, batch - 1))] = steps
+    else:
+        lengths = [draw(st.integers(1, steps))] * batch
+    return np.array(lengths), steps
+
+
+@st.composite
 def _padded_batches(draw):
-    steps = draw(st.integers(1, 5))
-    lengths = draw(st.lists(st.integers(1, steps), min_size=1, max_size=3))
+    lengths, steps = draw(_lengths())
     return (
-        np.array(lengths),
+        lengths,
         steps,
         draw(st.integers(1, 4)),
         draw(st.integers(1, 4)),
@@ -239,6 +255,38 @@ def test_bigru_batch_matches_stepwise_oracle_and_padding_never_leaks(case):
         assert np.allclose(
             fused_grads[name], step_grads[name], rtol=1e-9, atol=1e-12
         ), name
+
+
+@st.composite
+def _permuted_batches(draw):
+    lengths, steps = draw(_lengths(min_rows=2))
+    perm = draw(st.permutations(range(len(lengths))))
+    return lengths, steps, np.array(perm), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(deadline=None, max_examples=40)
+@given(_permuted_batches())
+def test_bigru_batch_permuting_rows_permutes_outputs_and_gradients(case):
+    # the scan sorts rows by length internally; the caller's row order must
+    # come back unchanged, and the weight gradients must not depend on it
+    lengths, steps, perm, seed = case
+    rng = np.random.default_rng(seed)
+    fwd, bwd, store = _random_grus(rng, 3, 2)
+    x = rng.standard_normal((len(lengths), steps, 3))
+    w = rng.standard_normal((len(lengths), steps, 4))
+    results = []
+    for rows in (np.arange(len(lengths)), perm):
+        xt = Tensor(x[rows], requires_grad=True)
+        out = bigru_batch(xt, lengths[rows], fwd, bwd)
+        flat = ad.reshape(out, (out.data.size,))
+        weighted = ad.mul(flat, Tensor(w[rows].reshape(-1)))
+        obj = sum_at(weighted, np.arange(flat.data.size))
+        results.append((out.data, _grads_of(obj, store, xt)))
+    (out, grads), (out_p, grads_p) = results
+    assert np.allclose(out_p, out[perm], rtol=0, atol=1e-12)
+    assert np.allclose(grads_p.pop("x"), grads.pop("x")[perm], rtol=0, atol=1e-12)
+    for name in grads:
+        assert np.allclose(grads_p[name], grads[name], rtol=0, atol=1e-12), name
 
 
 def test_bigru_batch_length_validation():

@@ -24,6 +24,7 @@ from sawreader.reader import (
     load_model,
     save_model,
     subword_encode_batch,
+    top_candidates,
 )
 from sawreader.synth import SyntheticSpec, generate_synthetic
 from sawreader.training import loss_node
@@ -304,6 +305,40 @@ def test_answer_tie_breaks_to_earliest_position():
     assert answer(dist) == "b"
 
 
+@settings(deadline=None, max_examples=100)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from("abcde"),
+            st.one_of(st.sampled_from([0.0, 0.125, 0.25]), st.floats(0.0, 1.0)),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    st.integers(1, 6),
+)
+def test_aggregation_sums_per_position_and_ties_go_to_earliest(doc, k):
+    # repeated dyadic probabilities make exact ties between words common
+    tokens = tuple(w for w, _ in doc)
+    p = np.array([q for _, q in doc])
+    dist = build_distribution(p, tokens)
+    assert abs(sum(dist.per_candidate.values()) - p.sum()) < 1e-12
+    for w, ix in dist.positions.items():
+        assert all(tokens[i] == w for i in ix)
+        assert abs(dist.per_candidate[w] - p[ix].sum()) < 1e-12
+    covered = sorted(i for ix in dist.positions.values() for i in ix)
+    assert covered == list(range(len(p)))
+    ranked = top_candidates(dist, k)
+    rank_key = {w: (-c, dist.positions[w][0]) for w, c in dist.per_candidate.items()}
+    # best first, ties toward the earliest first position, and no word left
+    # out ranks above one kept
+    assert len(ranked) == min(k, len(dist.positions))
+    assert ranked == sorted(ranked, key=rank_key.get)
+    left_out = set(dist.positions) - set(ranked)
+    assert all(rank_key[w] > rank_key[ranked[-1]] for w in left_out)
+    assert answer(dist) == ranked[0]
+
+
 def test_forward_matches_forward_batch():
     model = _model(op="concat")
     examples = _examples()
@@ -434,6 +469,21 @@ def test_load_model_ignores_older_shortlist_file(tmp_path):
             forward_batch(new, examples), forward_batch(old, examples)
         ):
             assert np.array_equal(fp_new.p.data, fp_old.p.data)
+
+
+def test_load_model_builds_from_shapes_and_draws_nothing(tmp_path, monkeypatch):
+    model = _model(op="sum", num_layers=2, seed=4)
+    save_model(model, tmp_path / "ckpt")
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_model drew from an rng")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    loaded = load_model(tmp_path / "ckpt")
+    assert loaded.params.names() == model.params.names()
+    for name, t in model.params.items():
+        assert loaded.params[name].data.dtype == np.float64
+        assert np.array_equal(loaded.params[name].data, t.data), name
 
 
 def test_load_model_missing_file(tmp_path):
