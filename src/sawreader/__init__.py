@@ -5,9 +5,7 @@ from .bpe import (
     MergeTable,
     Segmentation,
     SubwordVocab,
-    WordFreqTable,
     build_subword_vocab,
-    count_bigrams,
     segment_word,
     train_bpe,
 )

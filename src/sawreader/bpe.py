@@ -22,52 +22,11 @@ import os
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Pair = tuple[str, str]
 
 SUBWORD_UNK = "<sub-unk>"
-
-
-class WordFreqTable:
-    """Word -> occurrence count table that merge rules are learned from."""
-
-    def __init__(self, entries: Mapping[str, int]):
-        for word, count in entries.items():
-            if not word:
-                raise ValueError("frequency table contains an empty word")
-            if any(ch.isspace() for ch in word):
-                raise ValueError(f"word contains whitespace: {word!r}")
-            if count < 1:
-                raise ValueError(f"count for {word!r} must be >= 1, got {count}")
-        self.entries: dict[str, int] = dict(entries)
-
-    @classmethod
-    def from_tsv(cls, path) -> "WordFreqTable":
-        entries: dict[str, int] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ValueError(
-                        f"line {lineno}: expected word<TAB>count, got {line!r}"
-                    )
-                word, count = parts
-                try:
-                    entries[word] = int(count)
-                except ValueError:
-                    raise ValueError(
-                        f"line {lineno}: count is not an integer: {count!r}"
-                    ) from None
-        return cls(entries)
-
-    def to_tsv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for word, count in self.entries.items():
-                fh.write(f"{word}\t{count}\n")
 
 
 @dataclass(frozen=True)
@@ -174,20 +133,6 @@ def _pair_occurrences(symbols: Sequence[str]) -> Counter:
     return counts
 
 
-def count_bigrams(
-    segmentations: Mapping[str, Sequence[str]], freqs: WordFreqTable
-) -> dict[Pair, int]:
-    """Frequency-weighted pair counts over the current segmentation state."""
-    totals: Counter = Counter()
-    for word, count in freqs.entries.items():
-        symbols = segmentations[word]
-        if not symbols:
-            raise ValueError(f"word {word!r} has an empty segmentation")
-        for pair, n in _pair_occurrences(symbols).items():
-            totals[pair] += n * count
-    return dict(totals)
-
-
 def _merge_symbols(symbols: Sequence[str], pair: Pair) -> list[str]:
     """Replace adjacent (left, right) with their fusion, greedy left to right."""
     left, right = pair
@@ -205,18 +150,19 @@ def _merge_symbols(symbols: Sequence[str], pair: Pair) -> list[str]:
     return out
 
 
-def train_bpe(words: WordFreqTable, num_merges: int) -> MergeTable:
-    """Learn up to num_merges rules; stops early when no pair is left.
+def train_bpe(counts: Mapping[str, int], num_merges: int) -> MergeTable:
+    """Learn up to num_merges rules from word -> count; stops early when no
+    pair is left.
 
     Pair counts are maintained incrementally: only words containing the
     merged pair are re-counted after each merge.
     """
     if num_merges < 0:
         raise ValueError(f"num_merges must be >= 0, got {num_merges}")
-    segs: dict[str, list[str]] = {w: list(w) for w in words.entries}
+    segs: dict[str, list[str]] = {w: list(w) for w in counts}
     pair_counts: Counter = Counter()
     pair_words: dict[Pair, set[str]] = defaultdict(set)
-    for word, count in words.entries.items():
+    for word, count in counts.items():
         for pair, n in _pair_occurrences(segs[word]).items():
             pair_counts[pair] += n * count
             pair_words[pair].add(word)
@@ -232,7 +178,7 @@ def train_bpe(words: WordFreqTable, num_merges: int) -> MergeTable:
         if best is None:
             break
         for word in pair_words[best].copy():
-            count = words.entries[word]
+            count = counts[word]
             before = _pair_occurrences(segs[word])
             segs[word] = _merge_symbols(segs[word], best)
             after = _pair_occurrences(segs[word])
@@ -303,46 +249,19 @@ class SubwordVocab:
     def __contains__(self, unit: str) -> bool:
         return unit in self._index
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for unit in self.units:
-                fh.write(unit + "\n")
 
-    @classmethod
-    def load(cls, path) -> "SubwordVocab":
-        name = os.path.basename(path)
-        units: list[str] = []
-        seen: set[str] = set()
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                unit = line.rstrip("\n")
-                if not unit:
-                    continue
-                if not units and unit != SUBWORD_UNK:
-                    raise ValueError(
-                        f"{name} line {lineno}: subword vocab file must start with "
-                        f"the unknown unit {SUBWORD_UNK!r}, got {unit!r}"
-                    )
-                if unit in seen:
-                    raise ValueError(f"{name} line {lineno}: duplicate subword unit {unit!r}")
-                seen.add(unit)
-                units.append(unit)
-        if not units:
-            raise ValueError(f"{name}: empty subword vocab file")
-        return cls(units[1:])
-
-
-def build_subword_vocab(words: WordFreqTable, table: MergeTable) -> SubwordVocab:
+def build_subword_vocab(words: Iterable[str], table: MergeTable) -> SubwordVocab:
     """Every corpus character, every merge product, plus the reserved unknown.
 
     Every unit segment_word yields is a character or a merge product, so no
     word needs segmenting here. Merge products are included even when later
     merges absorb them in every final segmentation, so the vocabulary size is
     exactly the number of single-character types plus the number of
-    effective merges plus one.
+    effective merges plus one. The result depends on the words and the
+    merges alone, so checkpoints store those and rebuild it on load.
     """
     units: set[str] = set()
-    for word in words.entries:
+    for word in words:
         units.update(word)
     units.update(rule.product for rule in table.rules)
     return SubwordVocab(sorted(units))

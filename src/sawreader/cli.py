@@ -13,14 +13,14 @@ import os
 import sys
 from dataclasses import fields, replace
 
-from .bpe import MergeTable, WordFreqTable, segment_word, train_bpe
+from .bpe import MergeTable, segment_word, train_bpe
 from .configio import load_kv
 from .data import DatasetError, load_dataset, save_dataset
 from .harness import dump_attention, evaluate, new_model, sweep, sweep_csv
 from .reader import ReaderConfig, load_model, save_model, top_candidates
 from .synth import SyntheticSpec, generate_synthetic
 from .training import TrainConfig, eval_passes, train
-from .vocab import build_short_list, build_vocab, save_short_list
+from .vocab import build_short_list, build_vocab, read_word_counts, save_short_list
 
 
 def _seed_override() -> int | None:
@@ -42,8 +42,8 @@ def _write_or_stdout(text: str, out_path) -> None:
 
 
 def _cmd_bpe_train(args) -> int:
-    freqs = WordFreqTable.from_tsv(args.input)
-    table = train_bpe(freqs, args.merges)
+    counts = {word: count for _, word, count in read_word_counts(args.input)}
+    table = train_bpe(counts, args.merges)
     table.save(args.out)
     print(f"wrote {args.out} ({table.num_merges} merges)")
     return 0

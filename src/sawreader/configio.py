@@ -6,6 +6,8 @@ nesting; every consumer maps keys onto dataclass fields itself.
 
 from __future__ import annotations
 
+import os
+
 
 def parse_kv_text(text: str) -> dict:
     values: dict[str, object] = {}
@@ -56,8 +58,13 @@ def _parse_value(rhs: str, lineno: int):
 
 
 def load_kv(path) -> dict:
+    """parse_kv_text on a file, with the file's name before each "line N"."""
     with open(path, encoding="utf-8") as fh:
-        return parse_kv_text(fh.read())
+        text = fh.read()
+    try:
+        return parse_kv_text(text)
+    except ValueError as err:
+        raise ValueError(f"{os.path.basename(path)} {err}") from None
 
 
 def format_kv(values: dict) -> str:

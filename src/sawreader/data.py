@@ -8,6 +8,7 @@ exactly one placeholder token standing in for the answer.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 PLACEHOLDER = "<blank>"
@@ -69,14 +70,15 @@ def parse_record(obj: dict, where: str, require_answer: bool = True) -> ClozeExa
 
 
 def load_dataset(path, require_answer: bool = True) -> list[ClozeExample]:
-    """Read one record per line; errors carry the 1-based line number."""
+    """Read one record per line; errors name the file and its 1-based line."""
+    name = os.path.basename(path)
     examples: list[ClozeExample] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            where = f"line {lineno}"
+            where = f"{name} line {lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as err:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .bpe import MergeTable, SubwordVocab, WordFreqTable, build_subword_vocab, train_bpe
+from .bpe import MergeTable, SubwordVocab, build_subword_vocab, train_bpe
 from .data import ClozeExample
 from .reader import ReaderConfig, ReaderModel, answer, forward_batch
 from .training import TrainConfig, check_answerable, eval_passes, train
@@ -23,9 +23,8 @@ def build_pipeline(
     """Fit merges, subword vocab, vocabulary, and short list on a train split."""
     corpus = (seq for ex in train_set for seq in (ex.document, ex.query))
     vocab = build_vocab(corpus)
-    freqs = WordFreqTable(vocab.counts)
-    merges = train_bpe(freqs, config.num_merges)
-    subwords = build_subword_vocab(freqs, merges)
+    merges = train_bpe(vocab.counts, config.num_merges)
+    subwords = build_subword_vocab(vocab.words, merges)
     short_list = build_short_list(vocab, config.gamma)
     return merges, subwords, vocab, short_list
 

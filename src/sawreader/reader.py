@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from . import neural
 from .autodiff import Tensor
-from .bpe import MergeTable, SubwordVocab
+from .bpe import MergeTable, SubwordVocab, build_subword_vocab
 from .configio import load_kv, save_kv
 from .data import PLACEHOLDER, ClozeExample
 from .neural import GruParams, ParamStore
@@ -142,10 +142,6 @@ class ReaderModel:
                     ),
                 )
             )
-
-    @property
-    def unk_word_index(self) -> int:
-        return self.short_list.unk_index
 
 
 @dataclass
@@ -357,7 +353,6 @@ _CKPT_FILES = {
     "config": "reader.cfg",
     "merges": "merges.txt",
     "vocab": "vocab.tsv",
-    "subwords": "subwords.tsv",
     "params": "params.bin",
     "manifest": "params.manifest",
 }
@@ -372,13 +367,14 @@ def save_model(model: ReaderModel, ckpt_dir) -> None:
     )
     model.merges.save(path("merges"))
     model.vocab.save(path("vocab"))
-    model.subwords.save(path("subwords"))
     model.params.save(path("params"), path("manifest"))
 
 
 def load_model(ckpt_dir) -> ReaderModel:
-    """Rebuild a saved model; the short list is refitted from vocab.tsv and
-    gamma, so a shortlist.tsv left by older checkpoints is ignored."""
+    """Rebuild a saved model. The short list is refitted from vocab.tsv and
+    gamma, and the subword vocabulary is rebuilt from vocab.tsv and
+    merges.txt, so a shortlist.tsv or subwords.tsv left by older
+    checkpoints is ignored."""
     path = lambda key: os.path.join(ckpt_dir, _CKPT_FILES[key])
     for key in _CKPT_FILES:
         if not os.path.exists(path(key)):
@@ -392,7 +388,7 @@ def load_model(ckpt_dir) -> ReaderModel:
     merges = MergeTable.load(path("merges"))
     vocab = Vocabulary.load(path("vocab"))
     short_list = build_short_list(vocab, config.gamma)
-    subwords = SubwordVocab.load(path("subwords"))
+    subwords = build_subword_vocab(vocab.words, merges)
     model = ReaderModel(config, merges, subwords, vocab, short_list, seed=None)
     model.params.load_values(path("params"), path("manifest"))
     return model

@@ -4,13 +4,15 @@ The short list keeps the top floor(gamma * size) words by frequency (ties
 broken by first occurrence in the corpus); everything else shares one
 unknown word index. Subword indices are always derived from the original
 spelling, so a word dropped from the short list keeps its subword units.
+A vocabulary is stored as word<TAB>count lines, the same format that merge
+learning reads its frequencies from, so one reader checks both.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bpe import MergeTable, SubwordVocab, segment_word
 
@@ -37,42 +39,58 @@ class Vocabulary:
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            for word in self.words:
-                fh.write(f"{word}\t{self.counts[word]}\n")
+            _write_word_counts(fh, self)
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        name = os.path.basename(path)
-        words: list[str] = []
         counts: dict[str, int] = {}
         last = None
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ValueError(
-                        f"{name} line {lineno}: expected word<TAB>count, got {line!r}"
-                    )
-                word, count_str = parts
-                try:
-                    count = int(count_str)
-                except ValueError:
-                    raise ValueError(
-                        f"{name} line {lineno}: count is not an integer: {count_str!r}"
-                    ) from None
-                if last is not None and count > last:
-                    raise ValueError(
-                        f"{name} line {lineno}: counts must be non-increasing"
-                    )
-                if word in counts:
-                    raise ValueError(f"{name} line {lineno}: duplicate word {word!r}")
-                words.append(word)
-                counts[word] = count
-                last = count
-        return cls(words, counts)
+        for where, word, count in read_word_counts(path):
+            if last is not None and count > last:
+                raise ValueError(f"{where}: counts must be non-increasing")
+            counts[word] = count
+            last = count
+        return cls(list(counts), counts)
+
+
+def read_word_counts(path) -> Iterator[tuple[str, str, int]]:
+    """Yield (where, word, count) for each non-blank line of a word<TAB>count
+    file, where is "<file> line <n>". Words must be unique, non-empty and
+    free of whitespace, and counts must be integers >= 1.
+    """
+    name = os.path.basename(path)
+    seen: set[str] = set()
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            where = f"{name} line {lineno}"
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ValueError(f"{where}: expected word<TAB>count, got {line!r}")
+            word, count_str = parts
+            if not word:
+                raise ValueError(f"{where}: empty word")
+            if any(ch.isspace() for ch in word):
+                raise ValueError(f"{where}: word contains whitespace: {word!r}")
+            if word in seen:
+                raise ValueError(f"{where}: duplicate word {word!r}")
+            try:
+                count = int(count_str)
+            except ValueError:
+                raise ValueError(
+                    f"{where}: count is not an integer: {count_str!r}"
+                ) from None
+            if count < 1:
+                raise ValueError(f"{where}: count for {word!r} must be >= 1, got {count}")
+            seen.add(word)
+            yield where, word, count
+
+
+def _write_word_counts(fh, vocab: Vocabulary) -> None:
+    for word in vocab.words:
+        fh.write(f"{word}\t{vocab.counts[word]}\n")
 
 
 def build_vocab(corpus: Iterable[Sequence[str]]) -> Vocabulary:
@@ -138,6 +156,5 @@ def save_short_list(short_list: ShortList, vocab: Vocabulary, path) -> None:
     """Vocabulary lines prefixed with the filter ratio header."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"#gamma: {short_list.gamma!r}\n")
-        for word in vocab.words:
-            fh.write(f"{word}\t{vocab.counts[word]}\n")
+        _write_word_counts(fh, vocab)
 

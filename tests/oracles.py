@@ -4,15 +4,18 @@ The package never calls these. The per-step GRU and single-sequence BiGRU
 are the oracles the fused batched scan is checked against,
 gated_attention_2d is the one the batched masked attention is checked
 against, replay_segment is the one rank-jumping segmentation is checked
-against, and grad_check is the one finite-difference checker; the small
-tape ops and the scalar loss and norm helpers keep the tests short.
+against, count_bigrams gives the pair counts the hand-counted BPE tests
+check, and grad_check is the one finite-difference checker; the small tape
+ops and the scalar loss and norm helpers keep the tests short.
 """
+
+from collections import Counter
 
 import numpy as np
 
 from sawreader import autodiff as ad
 from sawreader.autodiff import Tensor
-from sawreader.bpe import MergeTable, _merge_symbols
+from sawreader.bpe import MergeTable, _merge_symbols, _pair_occurrences
 from sawreader.neural import GruParams, ParamStore, bigru_batch, bigru_finals
 from sawreader.training import loss_node
 
@@ -240,6 +243,20 @@ def replay_segment(word: str, table: MergeTable) -> tuple[str, ...]:
             break
         symbols = _merge_symbols(symbols, (rule.left, rule.right))
     return tuple(symbols)
+
+
+def count_bigrams(
+    segmentations: dict[str, list[str]], counts: dict[str, int]
+) -> dict[tuple[str, str], int]:
+    """Count-weighted pair counts over a segmentation state."""
+    totals: Counter = Counter()
+    for word, count in counts.items():
+        symbols = segmentations[word]
+        if not symbols:
+            raise ValueError(f"word {word!r} has an empty segmentation")
+        for pair, n in _pair_occurrences(symbols).items():
+            totals[pair] += n * count
+    return dict(totals)
 
 
 def global_norm(grads: dict[str, np.ndarray]) -> float:

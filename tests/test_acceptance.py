@@ -12,7 +12,6 @@ import numpy as np
 
 from sawreader.bpe import (
     MergeTable,
-    WordFreqTable,
     build_subword_vocab,
     segment_word,
     train_bpe,
@@ -107,7 +106,7 @@ def test_criterion_1_merge_learning_matches_recount_oracle(capsys):
     for _ in range(200):
         counts = _random_corpus(rng)
         num_merges = int(rng.integers(1, 31))
-        table = train_bpe(WordFreqTable(counts), num_merges)
+        table = train_bpe(counts, num_merges)
         expected = _oracle_train(counts, num_merges)
         assert [(r.left, r.right) for r in table.rules] == expected
         assert [r.rank for r in table.rules] == list(range(len(expected)))
@@ -130,8 +129,7 @@ def test_criterion_2_segmentation_round_trip_and_size_law(capsys):
         counts = _random_corpus(rng)
         # small merge budgets on half the corpora keep training non-exhausted
         requested = int(rng.integers(1, 7 if case % 2 else 25))
-        freqs = WordFreqTable(counts)
-        table = train_bpe(freqs, requested)
+        table = train_bpe(counts, requested)
         for _ in range(100):
             length = int(rng.integers(1, 13))
             word = "".join(
@@ -142,7 +140,7 @@ def test_criterion_2_segmentation_round_trip_and_size_law(capsys):
             round_trips += 1
         if table.num_merges == requested:
             single_chars = {c for w in counts for c in w}
-            vocab = build_subword_vocab(freqs, table)
+            vocab = build_subword_vocab(counts, table)
             assert vocab.size == len(single_chars) + table.num_merges + 1
             law_checks += 1
     _report(

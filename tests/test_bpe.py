@@ -12,14 +12,13 @@ from sawreader.bpe import (
     MergeTable,
     Segmentation,
     SubwordVocab,
-    WordFreqTable,
     build_subword_vocab,
-    count_bigrams,
     segment_word,
     train_bpe,
 )
+from sawreader.vocab import Vocabulary, read_word_counts
 
-from oracles import replay_segment
+from oracles import count_bigrams, replay_segment
 
 
 # ---------------------------------------------------------------- oracle ---
@@ -78,52 +77,52 @@ def _oracle_train(entries, num_merges):
 
 def test_pair_counts_hand_oracle():
     # "abab" twice and "ab" once: (a,b) occurs 2*2+1 = 5, (b,a) 1*2 = 2
-    freqs = WordFreqTable({"abab": 2, "ab": 1})
-    segs = {w: list(w) for w in freqs.entries}
+    freqs = {"abab": 2, "ab": 1}
+    segs = {w: list(w) for w in freqs}
     counts = count_bigrams(segs, freqs)
     assert counts == {("a", "b"): 5, ("b", "a"): 2}
 
 
 def test_pair_counts_non_overlapping_runs():
     # "aaa" has one (a,a) pair, "aaaa" has two
-    freqs = WordFreqTable({"aaa": 1, "aaaa": 1})
+    freqs = {"aaa": 1, "aaaa": 1}
     counts = count_bigrams({"aaa": list("aaa"), "aaaa": list("aaaa")}, freqs)
     assert counts[("a", "a")] == 3
 
 
 def test_count_bigrams_rejects_empty_segmentation():
-    freqs = WordFreqTable({"ab": 1})
+    freqs = {"ab": 1}
     with pytest.raises(ValueError, match="empty segmentation"):
         count_bigrams({"ab": []}, freqs)
 
 
 def test_first_merge_is_most_frequent_pair():
-    table = train_bpe(WordFreqTable({"abab": 2, "ab": 1}), 1)
+    table = train_bpe({"abab": 2, "ab": 1}, 1)
     assert table.rules[0].left == "a"
     assert table.rules[0].right == "b"
 
 
 def test_tie_breaks_to_lexicographically_smallest():
     # (b,a) and (a,b) both occur twice; the smaller pair wins
-    table = train_bpe(WordFreqTable({"ba": 2, "ab": 2}), 1)
+    table = train_bpe({"ba": 2, "ab": 2}, 1)
     assert (table.rules[0].left, table.rules[0].right) == ("a", "b")
 
 
 def test_merge_exhaustion_stops_early():
-    table = train_bpe(WordFreqTable({"ab": 3}), 10)
+    table = train_bpe({"ab": 3}, 10)
     assert table.num_merges == 1
-    single = train_bpe(WordFreqTable({"a": 5}), 10)
+    single = train_bpe({"a": 5}, 10)
     assert single.num_merges == 0
 
 
 def test_train_bpe_rejects_negative_merges():
     with pytest.raises(ValueError, match="num_merges"):
-        train_bpe(WordFreqTable({"ab": 1}), -1)
+        train_bpe({"ab": 1}, -1)
 
 
 def test_merged_symbol_feeds_later_merges():
     # "abc" x3: first merge (a,b), second merge (ab,c)
-    table = train_bpe(WordFreqTable({"abc": 3}), 2)
+    table = train_bpe({"abc": 3}, 2)
     got = [(r.left, r.right) for r in table.rules]
     assert got == [("a", "b"), ("ab", "c")]
     assert segment_word("abc", table).subwords == ("abc",)
@@ -146,7 +145,7 @@ def test_train_bpe_matches_recount_oracle():
     for _ in range(60):
         entries = _random_corpus(rng)
         num_merges = rng.randint(0, 30)
-        got = train_bpe(WordFreqTable(entries), num_merges)
+        got = train_bpe(entries, num_merges)
         expected = _oracle_train(entries, num_merges)
         assert [(r.left, r.right) for r in got.rules] == expected
         assert [r.rank for r in got.rules] == list(range(len(expected)))
@@ -156,7 +155,7 @@ def test_segmentation_round_trip_random_words():
     rng = random.Random(7)
     for _ in range(40):
         entries = _random_corpus(rng)
-        table = train_bpe(WordFreqTable(entries), rng.randint(0, 25))
+        table = train_bpe(entries, rng.randint(0, 25))
         for _ in range(25):
             word = "".join(
                 rng.choice("abcdefghij") for _ in range(rng.randint(1, 12))
@@ -180,10 +179,10 @@ def test_subword_vocab_size_law():
     for _ in range(40):
         entries = _random_corpus(rng)
         num_merges = rng.randint(0, 15)
-        table = train_bpe(WordFreqTable(entries), num_merges)
+        table = train_bpe(entries, num_merges)
         if table.num_merges < num_merges:
             continue
-        vocab = build_subword_vocab(WordFreqTable(entries), table)
+        vocab = build_subword_vocab(entries, table)
         chars = set("".join(entries))
         assert vocab.size == len(chars) + num_merges + 1
         checked += 1
@@ -193,7 +192,7 @@ def test_subword_vocab_size_law():
 def test_size_law_counts_absorbed_products():
     # (a,b) then (ab,c): "ab" never survives segmentation of "abc" but still
     # owns a vocabulary slot
-    freqs = WordFreqTable({"abc": 3})
+    freqs = {"abc": 3}
     table = train_bpe(freqs, 2)
     vocab = build_subword_vocab(freqs, table)
     assert "ab" in vocab
@@ -214,9 +213,8 @@ def test_segmentation_units_lie_in_subword_vocab(corpus, num_merges, others):
     # range exhausts the merge table; the vocabulary is built without
     # segmenting, and must still hold every unit of every word spelled in
     # the corpus's letters, corpus words or not
-    freqs = WordFreqTable(corpus)
-    table = train_bpe(freqs, num_merges)
-    vocab = build_subword_vocab(freqs, table)
+    table = train_bpe(corpus, num_merges)
+    vocab = build_subword_vocab(corpus, table)
     letters = set("".join(corpus))
     for word in list(corpus) + [w for w in others if set(w) <= letters]:
         assert all(u in vocab for u in segment_word(word, table).subwords)
@@ -241,7 +239,7 @@ def test_segment_skips_merges_passed_before_their_pair_existed():
     others=st.lists(st.text(alphabet="abcde", min_size=1, max_size=8), max_size=6),
 )
 def test_segment_equals_replay_on_learned_tables(corpus, num_merges, others):
-    table = train_bpe(WordFreqTable(corpus), num_merges)
+    table = train_bpe(corpus, num_merges)
     for word in list(corpus) + others:
         assert segment_word(word, table).subwords == replay_segment(word, table)
 
@@ -294,7 +292,7 @@ def test_merge_table_rules_are_immutable():
 
 
 def test_merge_table_round_trip(tmp_path):
-    table = train_bpe(WordFreqTable({"abab": 2, "cab": 4}), 3)
+    table = train_bpe({"abab": 2, "cab": 4}, 3)
     path = tmp_path / "merges.txt"
     table.save(path)
     loaded = MergeTable.load(path)
@@ -345,29 +343,38 @@ def test_merge_table_requires_contiguous_ranks():
 
 
 def test_word_freq_table_round_trip(tmp_path):
-    freqs = WordFreqTable({"spam": 3, "eggs": 1})
+    # Vocabulary.save is the one writer of word<TAB>count files
     path = tmp_path / "freqs.tsv"
-    freqs.to_tsv(path)
-    assert WordFreqTable.from_tsv(path).entries == freqs.entries
+    Vocabulary(["spam", "eggs"], {"spam": 3, "eggs": 1}).save(path)
+    assert list(read_word_counts(path)) == [
+        ("freqs.tsv line 1", "spam", 3),
+        ("freqs.tsv line 2", "eggs", 1),
+    ]
 
 
-def test_word_freq_table_validation():
-    with pytest.raises(ValueError, match="empty word"):
-        WordFreqTable({"": 1})
-    with pytest.raises(ValueError, match="whitespace"):
-        WordFreqTable({"a b": 1})
-    with pytest.raises(ValueError, match=">= 1"):
-        WordFreqTable({"ok": 0})
+def _read_error(path, text):
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        list(read_word_counts(path))
+    return str(info.value)
+
+
+def test_word_freq_table_validation(tmp_path):
+    path = tmp_path / "freqs.tsv"
+    assert _read_error(path, "ok\t2\n\t1\n") == "freqs.tsv line 2: empty word"
+    assert _read_error(path, "a b\t1\n") == "freqs.tsv line 1: word contains whitespace: 'a b'"
+    assert _read_error(path, "ok\t0\n") == "freqs.tsv line 1: count for 'ok' must be >= 1, got 0"
+    assert _read_error(path, "ab\t5\n\nab\t1\n") == "freqs.tsv line 3: duplicate word 'ab'"
 
 
 def test_word_freq_table_from_tsv_errors(tmp_path):
     path = tmp_path / "bad.tsv"
-    path.write_text("word_without_count\n")
-    with pytest.raises(ValueError, match="line 1"):
-        WordFreqTable.from_tsv(path)
-    path.write_text("word\tnot_a_number\n")
-    with pytest.raises(ValueError, match="not an integer"):
-        WordFreqTable.from_tsv(path)
+    assert _read_error(path, "word_without_count\n") == (
+        "bad.tsv line 1: expected word<TAB>count, got 'word_without_count'"
+    )
+    assert _read_error(path, "word\tnot_a_number\n") == (
+        "bad.tsv line 1: count is not an integer: 'not_a_number'"
+    )
 
 
 def test_segmentation_validates_concatenation():
@@ -386,30 +393,3 @@ def test_subword_vocab_reserved_slot():
         SubwordVocab([SUBWORD_UNK])
     with pytest.raises(ValueError, match="duplicate"):
         SubwordVocab(["x", "x"])
-
-
-def test_subword_vocab_round_trip(tmp_path):
-    vocab = SubwordVocab(["ab", "c", "de"])
-    path = tmp_path / "subwords.tsv"
-    vocab.save(path)
-    assert SubwordVocab.load(path).units == vocab.units
-
-
-def test_subword_vocab_load_requires_unknown_first(tmp_path):
-    path = tmp_path / "subwords.tsv"
-    path.write_text("ab\nc\n")
-    with pytest.raises(ValueError, match="unknown unit"):
-        SubwordVocab.load(path)
-
-
-def test_subword_vocab_load_errors_name_file_and_line(tmp_path):
-    path = tmp_path / "subwords.tsv"
-    path.write_text(f"{SUBWORD_UNK}\nab\nc\n\nab\n")
-    with pytest.raises(ValueError, match=r"^subwords.tsv line 5: duplicate subword unit 'ab'$"):
-        SubwordVocab.load(path)
-    path.write_text(f"\nab\n{SUBWORD_UNK}\n")
-    with pytest.raises(ValueError, match=r"^subwords.tsv line 2: .*unknown unit"):
-        SubwordVocab.load(path)
-    path.write_text("\n")
-    with pytest.raises(ValueError, match=r"^subwords.tsv: empty"):
-        SubwordVocab.load(path)

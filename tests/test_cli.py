@@ -127,13 +127,13 @@ def test_train_eval_predict_cycle(workspace, capsys):
         "reader.cfg",
         "merges.txt",
         "vocab.tsv",
-        "subwords.tsv",
         "params.bin",
         "params.manifest",
         "history.csv",
     ):
         assert (ckpt / name).exists(), name
     assert not (ckpt / "shortlist.tsv").exists()
+    assert not (ckpt / "subwords.tsv").exists()
 
     per_example = tmp_path / "eval.csv"
     rc = main(
@@ -238,7 +238,23 @@ def test_error_paths_exit_one(tmp_path, capsys):
     rc = main(["vocab", "--input", str(bad), "--out", str(tmp_path / "v")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "error: line 1" in err
+    assert err == "error: bad.jsonl line 1: query must contain exactly one <blank>, found 0\n"
+
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("hidden = \n")
+    rc = main(["train", "--config", str(cfg), "--data", str(tmp_path), "--out", str(tmp_path / "c")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: bad.cfg line 1: expected key = value, got 'hidden = '\n"
+
+    # a repeated word would silently train on its last count
+    freqs = tmp_path / "freqs.tsv"
+    freqs.write_text("ab\t5\nab\t1\ncd\t2\n")
+    table = tmp_path / "merges.txt"
+    rc = main(["bpe-train", "--input", str(freqs), "--merges", "2", "--out", str(table)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: freqs.tsv line 2: duplicate word 'ab'\n"
+    assert not table.exists()
 
     rc = main(["gen-data", "--out", str(tmp_path / "g"), "--doc-len", "banana"])
     assert rc == 1
@@ -285,22 +301,6 @@ def test_corrupt_merge_table_fails_eval_with_one_error_line(workspace, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: merges.txt line 3: expected left<TAB>right")
-
-
-def test_corrupt_subword_vocab_fails_eval_with_one_error_line(workspace, capsys):
-    tmp_path, data_dir, config_path = workspace
-    ckpt = tmp_path / "ckpt"
-    rc = main(["train", "--config", str(config_path), "--data", str(data_dir), "--out", str(ckpt)])
-    assert rc == 0
-    lines = (ckpt / "subwords.tsv").read_text().splitlines()
-    lines[3] = lines[2]
-    (ckpt / "subwords.tsv").write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    rc = main(["eval", "--model", str(ckpt), "--input", str(data_dir / "test.jsonl")])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert err.startswith(f"error: subwords.tsv line 4: duplicate subword unit {lines[2]!r}")
 
 
 def test_unknown_config_key_rejected(workspace, tmp_path, capsys):

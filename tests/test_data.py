@@ -1,9 +1,13 @@
 """Dataset records, the synthetic generator, and the key = value format."""
 
 import json
+import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sawreader.configio import format_kv, load_kv, parse_kv_text, save_kv
 from sawreader.data import (
@@ -14,7 +18,9 @@ from sawreader.data import (
     parse_record,
     save_dataset,
 )
+from sawreader.reader import INTEGRATION_OPS, ReaderConfig
 from sawreader.synth import SyntheticSpec, generate_synthetic
+from sawreader.training import TrainConfig
 
 
 # --------------------------------------------------------------- records ---
@@ -45,6 +51,29 @@ def test_load_round_trip(tmp_path):
     path = tmp_path / "out.jsonl"
     save_dataset(path, examples)
     assert load_dataset(path) == examples
+
+
+# any character a whitespace split keeps inside one token
+_TOKENS = st.text(st.characters().filter(lambda c: not c.isspace()), min_size=1, max_size=6)
+
+
+@st.composite
+def _cloze_examples(draw, with_answer):
+    document = tuple(draw(st.lists(_TOKENS, min_size=1, max_size=8)))
+    query = draw(st.lists(_TOKENS.filter(lambda t: t != PLACEHOLDER), max_size=5))
+    query.insert(draw(st.integers(0, len(query))), PLACEHOLDER)
+    answer = draw(st.sampled_from(document)) if with_answer else None
+    return ClozeExample(draw(st.text(min_size=1)), document, tuple(query), answer)
+
+
+@settings(deadline=None)
+@given(data=st.data(), with_answer=st.booleans())
+def test_save_load_dataset_round_trip(data, with_answer):
+    examples = data.draw(st.lists(_cloze_examples(with_answer), min_size=1, max_size=4))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/data.jsonl"
+        save_dataset(path, examples)
+        assert load_dataset(path, require_answer=with_answer) == examples
 
 
 def test_save_omits_missing_answer(tmp_path):
@@ -246,6 +275,44 @@ def test_parse_kv_errors():
         parse_kv_text('a = "open')
     with pytest.raises(ValueError, match="expected key = value"):
         parse_kv_text("= 2")
+
+
+def _configs(cls):
+    """Valid instances of a config dataclass, drawn per field."""
+    unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+    special = {
+        "integration_op": st.sampled_from(INTEGRATION_OPS),
+        "gamma": st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        "dropout": unit,
+        "adam_beta1": unit,
+        "adam_beta2": unit,
+        "num_merges": st.integers(min_value=0),
+        "seed": st.integers(),
+    }
+    by_type = {
+        "int": st.integers(min_value=1),
+        "float": st.floats(min_value=0.0, exclude_min=True),
+    }
+    return st.builds(
+        cls,
+        **{f.name: special[f.name] if f.name in special else by_type[f.type] for f in fields(cls)},
+    )
+
+
+@settings(deadline=None)
+@given(config=st.one_of(_configs(ReaderConfig), _configs(TrainConfig)))
+def test_save_kv_load_kv_rebuilds_configs(config):
+    values = {f.name: getattr(config, f.name) for f in fields(config)}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/config.cfg"
+        save_kv(values, path)
+        loaded = type(config)(**load_kv(path))
+    assert loaded == config
+    for f in fields(config):
+        got, want = getattr(loaded, f.name), getattr(config, f.name)
+        assert type(got) is type(want), f.name
+        if isinstance(want, float):
+            assert got.hex() == want.hex(), f.name
 
 
 def test_format_kv_round_trip(tmp_path):

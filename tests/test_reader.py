@@ -2,6 +2,7 @@
 
 import functools
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 from sawreader import autodiff as ad
 from sawreader.autodiff import Tensor
 from sawreader.bpe import segment_word
-from sawreader.data import ClozeExample
+from sawreader.data import PLACEHOLDER, ClozeExample
 from sawreader.harness import build_pipeline, new_model
 from sawreader.reader import (
+    INTEGRATION_OPS,
     ReaderConfig,
     ReaderModel,
     answer,
@@ -441,6 +443,46 @@ def test_checkpoint_round_trip(tmp_path):
         assert answer(fp_a.dist) == answer(fp_b.dist)
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    docs=st.lists(
+        st.lists(st.text(alphabet="abcde", min_size=1, max_size=7), min_size=2, max_size=8),
+        min_size=1,
+        max_size=4,
+    ),
+    num_merges=st.integers(0, 80),
+    op=st.sampled_from(INTEGRATION_OPS),
+)
+def test_checkpoint_rebuilds_subword_vocab_from_vocab_and_merges(docs, num_merges, op):
+    # checkpoints hold no subword vocabulary; sub_emb row i must still belong
+    # to unit i after load_model rebuilds it. The top of the merge range is
+    # more than these corpora can use.
+    examples = [
+        ClozeExample(f"h{i}", tuple(doc), (PLACEHOLDER,) + tuple(doc[1:]), doc[0])
+        for i, doc in enumerate(docs)
+    ]
+    config = ReaderConfig(
+        integration_op=op,
+        num_layers=1,
+        hidden=3,
+        word_dim=4,
+        subword_dim=3,
+        num_merges=num_merges,
+    )
+    model = new_model(examples, config, seed=1)
+    with tempfile.TemporaryDirectory() as ckpt:
+        save_model(model, ckpt)
+        loaded = load_model(ckpt)
+    assert loaded.subwords.units == model.subwords.units
+    # letters outside the corpus read the unknown unit
+    probe = examples[:3] + [
+        ClozeExample("oov", ("zebra", docs[0][0], "zebra"), (PLACEHOLDER,), "zebra")
+    ]
+    with ad.no_grad():
+        for fp, fp_loaded in zip(forward_batch(model, probe), forward_batch(loaded, probe)):
+            assert np.array_equal(fp.dist.per_position, fp_loaded.dist.per_position)
+
+
 def test_checkpoint_refits_short_list_from_vocab(tmp_path):
     model = _model(gamma=0.4)
     ckpt = tmp_path / "ckpt"
@@ -452,15 +494,18 @@ def test_checkpoint_refits_short_list_from_vocab(tmp_path):
 
 
 def test_load_model_ignores_older_shortlist_file(tmp_path):
-    # older checkpoints also hold shortlist.tsv; it repeats vocab.tsv
+    # older checkpoints also hold shortlist.tsv, which repeats vocab.tsv, and
+    # subwords.tsv, one unit per line, which vocab.tsv and merges.txt imply
     model = _model(op="sum", gamma=0.4)
     new_ckpt, old_ckpt = tmp_path / "new", tmp_path / "old"
     save_model(model, new_ckpt)
     save_model(model, old_ckpt)
     save_short_list(model.short_list, model.vocab, old_ckpt / "shortlist.tsv")
+    (old_ckpt / "subwords.tsv").write_text("".join(u + "\n" for u in model.subwords.units))
     new, old = load_model(new_ckpt), load_model(old_ckpt)
     assert old.short_list.kept == new.short_list.kept
     assert old.short_list.gamma == new.short_list.gamma
+    assert old.subwords.units == new.subwords.units
     for name, t in new.params.items():
         assert np.array_equal(old.params[name].data, t.data)
     examples = _examples()

@@ -2,8 +2,7 @@
 
 import pytest
 
-from sawreader.bpe import WordFreqTable, segment_word, train_bpe
-from sawreader.bpe import build_subword_vocab
+from sawreader.bpe import build_subword_vocab, segment_word, train_bpe
 from sawreader.vocab import (
     ShortList,
     Vocabulary,
@@ -78,7 +77,7 @@ def test_index_word_maps_filtered_to_unk():
 def test_subword_indices_ignore_short_list_membership():
     # a word dropped from the short list keeps subword units from its own
     # spelling; only the word-level index collapses to unk
-    freqs = WordFreqTable({"abab": 4, "ab": 2, "cd": 1})
+    freqs = {"abab": 4, "ab": 2, "cd": 1}
     table = train_bpe(freqs, 2)
     subwords = build_subword_vocab(freqs, table)
     vocab = build_vocab([("abab", "abab", "ab", "cd")])
@@ -110,9 +109,14 @@ def test_vocabulary_load_rejects_increasing_counts(tmp_path):
 
 def test_vocabulary_load_rejects_bad_line(tmp_path):
     path = tmp_path / "vocab.tsv"
-    path.write_text("just-a-word\n")
-    with pytest.raises(ValueError, match="line 1"):
-        Vocabulary.load(path)
+    for text, message in (
+        ("just-a-word\n", "vocab.tsv line 1: expected word<TAB>count"),
+        ("a\t2\na b\t1\n", "vocab.tsv line 2: word contains whitespace: 'a b'"),
+        ("a\t2\n\nb\t0\n", "vocab.tsv line 3: count for 'b' must be >= 1, got 0"),
+    ):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            Vocabulary.load(path)
 
 
 def test_vocabulary_load_rejects_non_integer_count(tmp_path):
