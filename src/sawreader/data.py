@@ -85,7 +85,7 @@ def load_dataset(path, require_answer: bool = True) -> list[ClozeExample]:
                 raise DatasetError(f"{where}: invalid json: {err.msg}") from None
             examples.append(parse_record(obj, where, require_answer))
     if not examples:
-        raise DatasetError(f"{path}: dataset is empty")
+        raise DatasetError(f"{name}: dataset is empty")
     return examples
 
 

@@ -4,6 +4,7 @@ learning rate that holds for two epochs then halves every epoch after.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -33,16 +34,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.base_lr <= 0:
-            raise ValueError("base_lr must be positive")
-        if self.clip_threshold <= 0:
-            raise ValueError("clip_threshold must be positive")
+        for field in ("base_lr", "clip_threshold", "adam_eps"):
+            value = getattr(self, field)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{field} must be finite and positive, got {value!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if not 0 <= self.adam_beta1 < 1 or not 0 <= self.adam_beta2 < 1:
             raise ValueError("adam betas must be in [0, 1)")
-        if self.adam_eps <= 0:
-            raise ValueError("adam_eps must be positive")
 
 
 class AdamState:
@@ -186,6 +185,9 @@ def train(
 ) -> TrainHistory:
     """Seeded shuffled minibatches; per-epoch loss, train and valid accuracy.
 
+    train_loss and train_acc come from the epoch's own train-mode passes:
+    each prediction is made before its batch's update, with dropout when
+    dropout > 0. valid_acc is an eval-mode pass after the epoch.
     Deterministic for a fixed (model seed, config seed, dataset) triple.
     """
     if not train_set or not valid_set:
@@ -200,6 +202,7 @@ def train(
         lr = lr_schedule(epoch, config.base_lr)
         order = np.random.default_rng([config.seed, epoch]).permutation(n)
         total_loss = 0.0
+        correct = 0
         for start in range(0, n, config.batch_size):
             batch = [train_set[int(i)] for i in order[start : start + config.batch_size]]
             try:
@@ -218,11 +221,12 @@ def train(
                 raise ValueError(f"epoch {epoch}, examples {ids}: {err}") from err
             adam_step(model.params, grads, state, lr, config)
             total_loss += float(batch_loss.data) * len(batch)
+            correct += sum(answer(fp.dist) == ex.answer for fp, ex in zip(passes, batch))
         row = EpochStats(
             epoch=epoch,
             lr=lr,
             train_loss=total_loss / n,
-            train_acc=_accuracy(model, train_set),
+            train_acc=correct / n,
             valid_acc=_accuracy(model, valid_set),
         )
         history.append(row)

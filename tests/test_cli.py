@@ -323,3 +323,17 @@ def test_bad_seed_env_is_an_error(workspace, tmp_path, capsys):
         del os.environ["SAW_SEED"]
     assert rc == 1
     assert "SAW_SEED" in capsys.readouterr().err
+
+
+def test_non_finite_learning_rate_fails_train_with_one_error_line(
+    workspace, tmp_path, capsys
+):
+    _, data_dir, _ = workspace
+    config = tmp_path / "nan.cfg"
+    config.write_text(TINY_CONFIG.replace("base_lr = 0.01", "base_lr = nan"))
+    rc = main(["train", "--config", str(config), "--data", str(data_dir), "--out", str(tmp_path / "c")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "base_lr" in err
+    assert not (tmp_path / "c").exists()

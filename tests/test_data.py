@@ -147,6 +147,17 @@ def test_empty_dataset_rejected(tmp_path):
         load_dataset(path)
 
 
+def test_empty_dataset_error_names_base_name_only(tmp_path):
+    folder = tmp_path / "splits-dir"
+    folder.mkdir()
+    path = folder / "empty.jsonl"
+    path.write_text("")
+    with pytest.raises(DatasetError) as err:
+        load_dataset(path)
+    assert str(err.value) == "empty.jsonl: dataset is empty"
+    assert "splits-dir" not in str(err.value)
+
+
 def test_placeholder_position():
     ex = ClozeExample("a", ("w",), ("x", PLACEHOLDER, "y"), "w")
     assert ex.placeholder_position == 1
@@ -291,7 +302,7 @@ def _configs(cls):
     }
     by_type = {
         "int": st.integers(min_value=1),
-        "float": st.floats(min_value=0.0, exclude_min=True),
+        "float": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
     }
     return st.builds(
         cls,

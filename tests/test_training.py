@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from sawreader import autodiff as ad
+from sawreader import training
 from sawreader.data import ClozeExample
-from sawreader.harness import build_pipeline
+from sawreader.harness import build_pipeline, evaluate, new_model
 from sawreader.neural import ParamStore
 from sawreader.reader import ReaderConfig, ReaderModel, forward_batch
+from sawreader.synth import SyntheticSpec, generate_synthetic
 from sawreader.training import (
+    EVAL_CHUNK,
     AdamState,
     EpochStats,
     TrainConfig,
@@ -104,6 +107,13 @@ def test_train_config_validation():
         TrainConfig(adam_beta1=1.0)
     with pytest.raises(ValueError, match="adam_eps"):
         TrainConfig(adam_eps=0.0)
+
+
+@pytest.mark.parametrize("field", ["base_lr", "clip_threshold", "adam_eps"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_train_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite and positive"):
+        TrainConfig(**{field: value})
 
 
 def _tiny_setup():
@@ -266,3 +276,70 @@ def test_history_csv_round_trip(tmp_path):
     assert hist != other
     other.append(EpochStats(2, 0.001, 1.2, 0.5, 0.4))
     assert hist == other
+
+
+def _synthetic_setup():
+    """32 train examples (one EVAL_CHUNK) and 8 valid ones, no dropout."""
+    splits = generate_synthetic(
+        SyntheticSpec(num_examples=40, doc_len_range=(8, 14), seed=3)
+    )
+    train_set, valid_set = splits["train"], splits["valid"] + splits["test"]
+    config = ReaderConfig(
+        integration_op="mul",
+        num_layers=1,
+        hidden=6,
+        word_dim=6,
+        subword_dim=4,
+        gamma=0.9,
+        num_merges=20,
+        dropout=0.0,
+    )
+    return train_set, valid_set, config
+
+
+def test_train_acc_is_the_epochs_own_predictions():
+    # one batch per epoch and no dropout: the epoch's train-mode pass sees
+    # the parameters an eval pass before the step sees, so train_acc is the
+    # eval accuracy of the model as it stood when the epoch began
+    train_set, valid_set, reader_cfg = _synthetic_setup()
+    assert len(train_set) == EVAL_CHUNK
+    kwargs = dict(batch_size=len(train_set), base_lr=0.5, seed=0)
+    config = TrainConfig(epochs=2, **kwargs)
+    history = train(new_model(train_set, reader_cfg), train_set, valid_set, config)
+    fresh_twin = new_model(train_set, reader_cfg)
+    assert history.rows[0].train_acc == evaluate(fresh_twin, train_set).accuracy
+    train(fresh_twin, train_set, valid_set, TrainConfig(epochs=1, **kwargs))
+    assert history.rows[1].train_acc == evaluate(fresh_twin, train_set).accuracy
+    assert history.rows[0].train_acc != history.rows[1].train_acc
+
+
+def test_train_loss_and_valid_acc_match_recorded_history():
+    # recorded before train_acc was taken from the epoch's own passes; the
+    # loss and the end-of-epoch valid accuracy must not move
+    train_set, valid_set, reader_cfg = _synthetic_setup()
+    config = TrainConfig(batch_size=8, base_lr=0.05, epochs=3, seed=0)
+    history = train(new_model(train_set, reader_cfg), train_set, valid_set, config)
+    assert [r.train_loss for r in history.rows] == [
+        2.1895294656362845,
+        2.037932033127895,
+        1.3762331706732276,
+    ]
+    assert [r.valid_acc for r in history.rows] == [0.375, 0.875, 0.875]
+
+
+def test_train_runs_no_eval_pass_over_train_split(monkeypatch):
+    train_set, valid_set, reader_cfg = _synthetic_setup()
+    seen = {"train": 0, "eval": 0}
+    inner = training.forward_batch
+
+    def counting(model, batch, mode="eval", rng=None):
+        seen[mode] += len(batch)
+        return inner(model, batch, mode=mode, rng=rng)
+
+    monkeypatch.setattr(training, "forward_batch", counting)
+    config = TrainConfig(batch_size=8, base_lr=0.05, epochs=2, seed=0)
+    train(new_model(train_set, reader_cfg), train_set, valid_set, config)
+    assert seen == {
+        "train": config.epochs * len(train_set),
+        "eval": config.epochs * len(valid_set),
+    }
