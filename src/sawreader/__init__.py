@@ -17,7 +17,6 @@ from .harness import (
     dump_attention,
     evaluate,
     new_model,
-    random_guess_accuracy,
     sweep,
     sweep_csv,
 )

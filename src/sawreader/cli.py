@@ -11,12 +11,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 from .bpe import MergeTable, segment_word, train_bpe
-from .configio import load_kv
+from .configio import load_config
 from .data import DatasetError, load_dataset, save_dataset
-from .harness import dump_attention, evaluate, new_model, sweep, sweep_csv
+from .harness import SWEEP_AXES, dump_attention, evaluate, new_model, sweep, sweep_csv
 from .reader import ReaderConfig, load_model, save_model, top_candidates
 from .synth import SyntheticSpec, generate_synthetic
 from .training import TrainConfig, eval_passes, train
@@ -28,9 +28,12 @@ def _seed_override() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
-        raise ValueError(f"SAW_SEED must be an integer, got {raw!r}") from None
+        seed = None
+    if seed is None or seed < 0:
+        raise ValueError(f"SAW_SEED must be a non-negative integer, got {raw!r}")
+    return seed
 
 
 def _write_or_stdout(text: str, out_path) -> None:
@@ -97,14 +100,12 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _split_config(values: dict) -> tuple[ReaderConfig, TrainConfig]:
-    reader_keys = {f.name for f in fields(ReaderConfig)}
-    train_keys = {f.name for f in fields(TrainConfig)}
-    unknown = set(values) - reader_keys - train_keys
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    reader_cfg = ReaderConfig(**{k: v for k, v in values.items() if k in reader_keys})
-    train_cfg = TrainConfig(**{k: v for k, v in values.items() if k in train_keys})
+def _load_configs(path) -> tuple[ReaderConfig, TrainConfig]:
+    """The model and training configs of a config file, with SAW_SEED applied."""
+    reader_cfg, train_cfg = load_config(path, ReaderConfig, TrainConfig)
+    seed = _seed_override()
+    if seed is not None:
+        train_cfg = replace(train_cfg, seed=seed)
     return reader_cfg, train_cfg
 
 
@@ -113,10 +114,7 @@ def _load_split(data_dir: str, split: str):
 
 
 def _cmd_train(args) -> int:
-    reader_cfg, train_cfg = _split_config(load_kv(args.config))
-    seed = _seed_override()
-    if seed is not None:
-        train_cfg = replace(train_cfg, seed=seed)
+    reader_cfg, train_cfg = _load_configs(args.config)
     train_set = _load_split(args.data, "train")
     valid_set = _load_split(args.data, "valid")
     model = new_model(train_set, reader_cfg, seed=train_cfg.seed)
@@ -182,18 +180,12 @@ def _parse_sweep_values(axis: str, raw: str) -> list:
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
         raise ValueError("sweep values must be a non-empty comma-separated list")
-    if axis == "merges":
-        return [int(p) for p in parts]
-    if axis == "gamma":
-        return [float(p) for p in parts]
-    return parts
+    kind = type(getattr(ReaderConfig(), SWEEP_AXES[axis]))
+    return [kind(p) for p in parts]
 
 
 def _cmd_sweep(args) -> int:
-    reader_cfg, train_cfg = _split_config(load_kv(args.config))
-    seed = _seed_override()
-    if seed is not None:
-        train_cfg = replace(train_cfg, seed=seed)
+    reader_cfg, train_cfg = _load_configs(args.config)
     splits = {split: _load_split(args.data, split) for split in ("train", "valid", "test")}
     values = _parse_sweep_values(args.axis, args.values)
 
@@ -272,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_predict)
 
     p = sub.add_parser("sweep", help="retrain along one config axis")
-    p.add_argument("--axis", required=True, choices=("merges", "gamma", "op"))
+    p.add_argument("--axis", required=True, choices=tuple(SWEEP_AXES))
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True)

@@ -1,31 +1,61 @@
-"""Flat key = value config files: quoted strings, ints, floats, booleans.
+"""Flat key = value config files, read onto and written from dataclasses.
 
-Comments start with # (full line or after the value). No sections, no
-nesting; every consumer maps keys onto dataclass fields itself.
+Values are quoted strings, ints, floats and true/false. Comments start
+with # (full line or after the value). No sections, no nesting. This is
+the one place where a config file's keys become config fields: each key
+names a field of exactly one of the dataclasses asked for, its value has
+the type of that field's default (an int is accepted for a float field
+and converted), and it passes the dataclass's own range checks. Every
+rejection names the file and the line.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import fields
+
+_KINDS = {str: "a quoted string", bool: "true or false", int: "an integer", float: "a number"}
 
 
-def parse_kv_text(text: str) -> dict:
-    values: dict[str, object] = {}
+def load_config(path, *classes) -> tuple:
+    """One instance of each dataclass in classes, read from a config file.
+
+    Fields the file does not name keep their defaults, so each dataclass's
+    defaults must be valid.
+    """
+    owner = {f.name: (cls, type(f.default)) for cls in classes for f in fields(cls)}
+    if len(owner) < sum(len(fields(cls)) for cls in classes):
+        raise TypeError("config classes share a field name")
+    values: dict[type, dict] = {cls: {} for cls in classes}
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key = value, got {raw!r}")
-        key, _, rhs = line.partition("=")
-        key = key.strip()
-        rhs = rhs.strip()
-        if not key or not rhs:
-            raise ValueError(f"line {lineno}: expected key = value, got {raw!r}")
-        if key in values:
-            raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _parse_value(rhs, lineno)
-    return values
+        try:
+            _read_line(raw, owner, values)
+        except ValueError as err:
+            raise ValueError(f"{os.path.basename(path)} line {lineno}: {err}") from None
+    return tuple(cls(**values[cls]) for cls in classes)
+
+
+def _read_line(raw: str, owner: dict, values: dict) -> None:
+    line = _strip_comment(raw).strip()
+    if not line:
+        return
+    key, eq, rhs = (part.strip() for part in line.partition("="))
+    if not (key and eq and rhs):
+        raise ValueError(f"expected key = value, got {raw!r}")
+    if key not in owner:
+        raise ValueError(f"unknown config key {key!r}")
+    cls, kind = owner[key]
+    if key in values[cls]:
+        raise ValueError(f"duplicate key {key!r}")
+    value = _parse_value(rhs)
+    if kind is float and type(value) is int:
+        value = float(rhs)
+    if type(value) is not kind:
+        raise ValueError(f"{key} must be {_KINDS[kind]}, got {rhs}")
+    cls(**{key: value})  # the dataclass's range checks, against valid defaults
+    values[cls][key] = value
 
 
 def _strip_comment(line: str) -> str:
@@ -38,10 +68,10 @@ def _strip_comment(line: str) -> str:
     return line
 
 
-def _parse_value(rhs: str, lineno: int):
+def _parse_value(rhs: str):
     if rhs.startswith('"'):
         if len(rhs) < 2 or not rhs.endswith('"'):
-            raise ValueError(f"line {lineno}: unterminated string {rhs!r}")
+            raise ValueError(f"unterminated string {rhs!r}")
         return rhs[1:-1]
     if rhs == "true":
         return True
@@ -54,33 +84,21 @@ def _parse_value(rhs: str, lineno: int):
     try:
         return float(rhs)
     except ValueError:
-        raise ValueError(f"line {lineno}: cannot parse value {rhs!r}") from None
+        raise ValueError(f"cannot parse value {rhs!r}") from None
 
 
-def load_kv(path) -> dict:
-    """parse_kv_text on a file, with the file's name before each "line N"."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return parse_kv_text(text)
-    except ValueError as err:
-        raise ValueError(f"{os.path.basename(path)} {err}") from None
-
-
-def format_kv(values: dict) -> str:
+def save_config(config, path) -> None:
+    """Write every field of a config dataclass, in field order."""
     lines = []
-    for key, value in values.items():
+    for f in fields(config):
+        value = getattr(config, f.name)
         if isinstance(value, bool):
-            lines.append(f"{key} = {'true' if value else 'false'}")
+            lines.append(f"{f.name} = {'true' if value else 'false'}")
         elif isinstance(value, str):
-            lines.append(f'{key} = "{value}"')
+            lines.append(f'{f.name} = "{value}"')
         elif isinstance(value, float):
-            lines.append(f"{key} = {value!r}")
+            lines.append(f"{f.name} = {value!r}")
         else:
-            lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
-
-
-def save_kv(values: dict, path) -> None:
+            lines.append(f"{f.name} = {value}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_kv(values))
+        fh.write("\n".join(lines) + "\n")

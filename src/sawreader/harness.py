@@ -99,13 +99,6 @@ def evaluate(model: ReaderModel, examples: list[ClozeExample]) -> EvalReport:
     )
 
 
-def random_guess_accuracy(examples: list[ClozeExample]) -> float:
-    """Expected accuracy of a uniform guess over each document's distinct words."""
-    if not examples:
-        raise ValueError("random_guess_accuracy: empty dataset")
-    return float(np.mean([1.0 / len(set(ex.document)) for ex in examples]))
-
-
 SWEEP_AXES = {
     "merges": "num_merges",
     "gamma": "gamma",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from . import autodiff as ad
 from . import neural
 from .autodiff import Tensor
 from .bpe import MergeTable, SubwordVocab, build_subword_vocab
-from .configio import load_kv, save_kv
+from .configio import load_config, save_config
 from .data import PLACEHOLDER, ClozeExample
 from .neural import GruParams, ParamStore
 from .vocab import ShortList, Vocabulary, build_short_list, index_subwords
@@ -361,10 +361,7 @@ _CKPT_FILES = {
 def save_model(model: ReaderModel, ckpt_dir) -> None:
     os.makedirs(ckpt_dir, exist_ok=True)
     path = lambda key: os.path.join(ckpt_dir, _CKPT_FILES[key])
-    save_kv(
-        {f.name: getattr(model.config, f.name) for f in fields(ReaderConfig)},
-        path("config"),
-    )
+    save_config(model.config, path("config"))
     model.merges.save(path("merges"))
     model.vocab.save(path("vocab"))
     model.params.save(path("params"), path("manifest"))
@@ -379,12 +376,7 @@ def load_model(ckpt_dir) -> ReaderModel:
     for key in _CKPT_FILES:
         if not os.path.exists(path(key)):
             raise FileNotFoundError(f"checkpoint is missing {_CKPT_FILES[key]}")
-    raw = load_kv(path("config"))
-    known = {f.name for f in fields(ReaderConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"unknown reader config keys: {sorted(unknown)}")
-    config = ReaderConfig(**raw)
+    (config,) = load_config(path("config"), ReaderConfig)
     merges = MergeTable.load(path("merges"))
     vocab = Vocabulary.load(path("vocab"))
     short_list = build_short_list(vocab, config.gamma)

@@ -40,6 +40,8 @@ class TrainConfig:
                 raise ValueError(f"{field} must be finite and positive, got {value!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.adam_beta1 < 1 or not 0 <= self.adam_beta2 < 1:
             raise ValueError("adam betas must be in [0, 1)")
 

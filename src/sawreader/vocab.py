@@ -31,9 +31,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.words)
 
-    def rank(self, word: str) -> int:
-        return self._rank[word]
-
     def __contains__(self, word: str) -> bool:
         return word in self._rank
 

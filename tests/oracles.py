@@ -7,6 +7,8 @@ against, replay_segment is the one rank-jumping segmentation is checked
 against, count_bigrams gives the pair counts the hand-counted BPE tests
 check, and grad_check is the one finite-difference checker; the small tape
 ops and the scalar loss and norm helpers keep the tests short.
+random_guess_accuracy is the chance baseline the accuracy criteria compare
+against.
 """
 
 from collections import Counter
@@ -257,6 +259,19 @@ def count_bigrams(
         for pair, n in _pair_occurrences(symbols).items():
             totals[pair] += n * count
     return dict(totals)
+
+
+def grad_enabled() -> bool:
+    """Whether the tape records: a product of a tracked leaf is tracked."""
+    x = Tensor(np.ones(1), requires_grad=True)
+    return ad.mul(x, x).requires_grad
+
+
+def random_guess_accuracy(examples) -> float:
+    """Expected accuracy of a uniform guess over each document's distinct words."""
+    if not examples:
+        raise ValueError("random_guess_accuracy: empty dataset")
+    return float(np.mean([1.0 / len(set(ex.document)) for ex in examples]))
 
 
 def global_norm(grads: dict[str, np.ndarray]) -> float:

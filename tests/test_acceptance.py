@@ -20,7 +20,6 @@ from sawreader.data import PLACEHOLDER, ClozeExample
 from sawreader.harness import (
     evaluate,
     new_model,
-    random_guess_accuracy,
     sweep,
     sweep_csv,
 )
@@ -35,7 +34,7 @@ from sawreader.training import (
 )
 from sawreader.vocab import index_subwords
 
-from oracles import global_norm, grad_check
+from oracles import global_norm, grad_check, random_guess_accuracy
 
 
 def _report(capsys, num: int, ok: bool, detail: str) -> None:

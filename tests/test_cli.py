@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from sawreader.cli import main
+from sawreader.cli import _parse_sweep_values, main
 from sawreader.data import load_dataset
 
 TINY_CONFIG = """
@@ -228,6 +228,17 @@ def test_sweep_command(workspace, tmp_path):
     assert [l.split(",")[1] for l in lines[1:]] == ["concat", "sum", "mul"]
 
 
+def test_sweep_values_take_the_swept_field_type():
+    assert _parse_sweep_values("merges", "0, 10") == [0, 10]
+    assert _parse_sweep_values("gamma", "1,0.5") == [1.0, 0.5]
+    assert [type(v) for v in _parse_sweep_values("gamma", "1")] == [float]
+    assert _parse_sweep_values("op", "concat,mul") == ["concat", "mul"]
+    with pytest.raises(ValueError):
+        _parse_sweep_values("merges", "1.5")
+    with pytest.raises(ValueError, match="non-empty"):
+        _parse_sweep_values("op", " , ")
+
+
 def test_error_paths_exit_one(tmp_path, capsys):
     rc = main(["eval", "--model", str(tmp_path / "nope"), "--input", str(tmp_path / "x.jsonl")])
     assert rc == 1
@@ -309,20 +320,76 @@ def test_unknown_config_key_rejected(workspace, tmp_path, capsys):
     config.write_text(TINY_CONFIG + "warp_speed = 9\n")
     rc = main(["train", "--config", str(config), "--data", str(data_dir), "--out", str(tmp_path / "c")])
     assert rc == 1
-    assert "unknown config keys" in capsys.readouterr().err
+    lineno = len(TINY_CONFIG.splitlines()) + 1
+    assert capsys.readouterr().err == (
+        f"error: bad.cfg line {lineno}: unknown config key 'warp_speed'\n"
+    )
+
+
+# (line of TINY_CONFIG, its replacement, the error after "<file> line <n>: ")
+BAD_VALUES = [
+    ("hidden = 4", "hidden = 1.5", "hidden must be an integer, got 1.5"),
+    ("epochs = 1", "epochs = 2.0", "epochs must be an integer, got 2.0"),
+    ("num_layers = 1", 'num_layers = "3"', 'num_layers must be an integer, got "3"'),
+    ("dropout = 0.0", 'dropout = "0.1"', 'dropout must be a number, got "0.1"'),
+    ("batch_size = 8", "batch_size = true", "batch_size must be an integer, got true"),
+    ("base_lr = 0.01", "base_lr = nan", "base_lr must be finite and positive, got nan"),
+    ("seed = 0", "seed = -1", "seed must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("line, bad, message", BAD_VALUES, ids=[b for _, b, _ in BAD_VALUES])
+def test_bad_config_value_fails_train_naming_file_and_line(
+    workspace, tmp_path, capsys, line, bad, message
+):
+    _, data_dir, _ = workspace
+    config = tmp_path / "bad.cfg"
+    config.write_text(TINY_CONFIG.replace(line, bad))
+    capsys.readouterr()
+    rc = main(["train", "--config", str(config), "--data", str(data_dir), "--out", str(tmp_path / "c")])
+    assert rc == 1
+    lineno = TINY_CONFIG.splitlines().index(line) + 1
+    assert capsys.readouterr().err == f"error: bad.cfg line {lineno}: {message}\n"
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, lineno, message",
+    [
+        (lambda text: text.replace("hidden = 4", "hidden = 8.0"), 3, "hidden must be an integer, got 8.0"),
+        (lambda text: text + "mystery_knob = 3\n", 9, "unknown config key 'mystery_knob'"),
+    ],
+    ids=["mistyped", "unknown"],
+)
+def test_bad_checkpoint_config_fails_eval_naming_file_and_line(
+    workspace, capsys, edit, lineno, message
+):
+    tmp_path, data_dir, config_path = workspace
+    ckpt = tmp_path / "ckpt"
+    rc = main(["train", "--config", str(config_path), "--data", str(data_dir), "--out", str(ckpt)])
+    assert rc == 0
+    cfg = ckpt / "reader.cfg"
+    cfg.write_text(edit(cfg.read_text()))
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(ckpt), "--input", str(data_dir / "test.jsonl")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: reader.cfg line {lineno}: {message}\n"
 
 
 def test_bad_seed_env_is_an_error(workspace, tmp_path, capsys):
     _, data_dir, config_path = workspace
-    os.environ["SAW_SEED"] = "not-a-number"
-    try:
-        rc = main(
-            ["train", "--config", str(config_path), "--data", str(data_dir), "--out", str(tmp_path / "c")]
+    for raw in ("not-a-number", "-3"):
+        os.environ["SAW_SEED"] = raw
+        try:
+            rc = main(
+                ["train", "--config", str(config_path), "--data", str(data_dir), "--out", str(tmp_path / "c")]
+            )
+        finally:
+            del os.environ["SAW_SEED"]
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: SAW_SEED must be a non-negative integer, got {raw!r}\n"
         )
-    finally:
-        del os.environ["SAW_SEED"]
-    assert rc == 1
-    assert "SAW_SEED" in capsys.readouterr().err
 
 
 def test_non_finite_learning_rate_fails_train_with_one_error_line(

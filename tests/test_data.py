@@ -2,14 +2,14 @@
 
 import json
 import tempfile
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sawreader.configio import format_kv, load_kv, parse_kv_text, save_kv
+from sawreader.configio import load_config, save_config
 from sawreader.data import (
     PLACEHOLDER,
     ClozeExample,
@@ -253,7 +253,29 @@ def test_spec_validation():
 # ----------------------------------------------------------------- config ---
 
 
-def test_parse_kv_types():
+@dataclass
+class _Knobs:
+    """A config of every value type, for the format's own tests."""
+
+    name: str = ""
+    layers: int = 1
+    rate: float = 0.5
+    flag: bool = False
+    off: bool = True
+    note: str = ""
+
+    def __post_init__(self):
+        if self.layers < 1:
+            raise ValueError(f"layers must be >= 1, got {self.layers}")
+
+
+def _load_text(tmp_path, text, *classes):
+    path = tmp_path / "knobs.cfg"
+    path.write_text(text)
+    return load_config(path, *classes)
+
+
+def test_parse_kv_types(tmp_path):
     text = """
     name = "reader"  # trailing comment
     layers = 3
@@ -262,30 +284,53 @@ def test_parse_kv_types():
     off = false
     note = "value with # inside"
     """
-    values = parse_kv_text(text)
-    assert values == {
-        "name": "reader",
-        "layers": 3,
-        "rate": 0.5,
-        "flag": True,
-        "off": False,
-        "note": "value with # inside",
-    }
-    assert isinstance(values["layers"], int)
-    assert isinstance(values["rate"], float)
+    (knobs,) = _load_text(tmp_path, text, _Knobs)
+    assert knobs == _Knobs("reader", 3, 0.5, True, False, "value with # inside")
+    assert type(knobs.layers) is int and type(knobs.rate) is float
+    # an int literal is accepted for a float field and converted
+    (knobs,) = _load_text(tmp_path, "rate = 2", _Knobs)
+    assert knobs.rate == 2.0 and type(knobs.rate) is float
+    # fields the file leaves out keep their defaults
+    assert _load_text(tmp_path, "# nothing set\n", _Knobs) == (_Knobs(),)
 
 
-def test_parse_kv_errors():
-    with pytest.raises(ValueError, match="line 1: expected key = value"):
-        parse_kv_text("just words")
-    with pytest.raises(ValueError, match="duplicate key"):
-        parse_kv_text("a = 1\na = 2")
-    with pytest.raises(ValueError, match="cannot parse value"):
-        parse_kv_text("a = maybe")
-    with pytest.raises(ValueError, match="unterminated string"):
-        parse_kv_text('a = "open')
-    with pytest.raises(ValueError, match="expected key = value"):
-        parse_kv_text("= 2")
+def test_parse_kv_errors(tmp_path):
+    cases = [
+        ("just words", "line 1: expected key = value"),
+        ("layers = 1\nlayers = 2", "line 2: duplicate key 'layers'"),
+        ("layers = maybe", "line 1: cannot parse value 'maybe'"),
+        ('name = "open', "line 1: unterminated string"),
+        ("= 2", "line 1: expected key = value"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ValueError) as err:
+            _load_text(tmp_path, text, _Knobs)
+        assert str(err.value).startswith(f"knobs.cfg {message}"), text
+
+
+def test_load_config_checks_keys_types_and_ranges(tmp_path):
+    cases = [
+        ("\nmystery = 1", "knobs.cfg line 2: unknown config key 'mystery'"),
+        ("layers = 1.0", "knobs.cfg line 1: layers must be an integer, got 1.0"),
+        ("layers = true", "knobs.cfg line 1: layers must be an integer, got true"),
+        ('rate = "0.1"', 'knobs.cfg line 1: rate must be a number, got "0.1"'),
+        ("flag = 1", "knobs.cfg line 1: flag must be true or false, got 1"),
+        ("note = 3", "knobs.cfg line 1: note must be a quoted string, got 3"),
+        ("rate = 1\nlayers = 0", "knobs.cfg line 2: layers must be >= 1, got 0"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ValueError) as err:
+            _load_text(tmp_path, text, _Knobs)
+        assert str(err.value) == message, text
+
+
+def test_load_config_splits_keys_between_classes(tmp_path):
+    text = 'hidden = 8\nepochs = 2\nintegration_op = "sum"\n'
+    reader_cfg, train_cfg = _load_text(tmp_path, text, ReaderConfig, TrainConfig)
+    assert reader_cfg == ReaderConfig(hidden=8, integration_op="sum")
+    assert train_cfg == TrainConfig(epochs=2)
+    with pytest.raises(ValueError, match="^knobs.cfg line 2: unknown config key 'epochs'$"):
+        _load_text(tmp_path, text, ReaderConfig)
 
 
 def _configs(cls):
@@ -298,7 +343,7 @@ def _configs(cls):
         "adam_beta1": unit,
         "adam_beta2": unit,
         "num_merges": st.integers(min_value=0),
-        "seed": st.integers(),
+        "seed": st.integers(min_value=0),
     }
     by_type = {
         "int": st.integers(min_value=1),
@@ -312,12 +357,11 @@ def _configs(cls):
 
 @settings(deadline=None)
 @given(config=st.one_of(_configs(ReaderConfig), _configs(TrainConfig)))
-def test_save_kv_load_kv_rebuilds_configs(config):
-    values = {f.name: getattr(config, f.name) for f in fields(config)}
+def test_save_config_load_config_rebuilds_configs(config):
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/config.cfg"
-        save_kv(values, path)
-        loaded = type(config)(**load_kv(path))
+        save_config(config, path)
+        (loaded,) = load_config(path, type(config))
     assert loaded == config
     for f in fields(config):
         got, want = getattr(loaded, f.name), getattr(config, f.name)
@@ -326,12 +370,13 @@ def test_save_kv_load_kv_rebuilds_configs(config):
             assert got.hex() == want.hex(), f.name
 
 
-def test_format_kv_round_trip(tmp_path):
-    values = {"s": "text", "i": 7, "f": 0.1, "b": True, "neg": -2.5e-3}
-    path = tmp_path / "conf.cfg"
-    save_kv(values, path)
-    loaded = load_kv(path)
-    assert loaded == values
+def test_save_config_round_trip(tmp_path):
+    knobs = _Knobs(name="text", layers=7, rate=-2.5e-3, flag=True)
+    path = tmp_path / "knobs.cfg"
+    save_config(knobs, path)
+    # every field, in field order
+    assert path.read_text() == (
+        'name = "text"\nlayers = 7\nrate = -0.0025\nflag = true\noff = true\nnote = ""\n'
+    )
     # float repr keeps values exact through the round trip
-    assert loaded["f"] == 0.1 and loaded["neg"] == -2.5e-3
-    assert 'trailing' not in format_kv(values)
+    assert load_config(path, _Knobs) == (knobs,)

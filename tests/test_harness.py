@@ -12,13 +12,14 @@ from sawreader.harness import (
     dump_attention,
     evaluate,
     new_model,
-    random_guess_accuracy,
     sweep,
     sweep_csv,
 )
 from sawreader.reader import ReaderConfig, forward_batch
 from sawreader.synth import SyntheticSpec, generate_synthetic
 from sawreader.training import TrainConfig
+
+from oracles import random_guess_accuracy
 
 
 def _splits():

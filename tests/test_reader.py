@@ -546,5 +546,6 @@ def test_load_model_rejects_unknown_config_key(tmp_path):
     save_model(model, ckpt)
     with open(ckpt / "reader.cfg", "a", encoding="utf-8") as fh:
         fh.write("mystery_knob = 3\n")
-    with pytest.raises(ValueError, match="unknown reader config keys"):
+    with pytest.raises(ValueError) as err:
         load_model(ckpt)
+    assert str(err.value) == "reader.cfg line 9: unknown config key 'mystery_knob'"

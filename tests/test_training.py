@@ -27,7 +27,7 @@ from sawreader.training import (
     train,
 )
 
-from oracles import global_norm, loss
+from oracles import global_norm, grad_enabled, loss
 
 
 def test_lr_schedule_holds_then_halves():
@@ -107,6 +107,9 @@ def test_train_config_validation():
         TrainConfig(adam_beta1=1.0)
     with pytest.raises(ValueError, match="adam_eps"):
         TrainConfig(adam_eps=0.0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        TrainConfig(seed=-1)
+    assert TrainConfig(seed=0).seed == 0
 
 
 @pytest.mark.parametrize("field", ["base_lr", "clip_threshold", "adam_eps"])
@@ -174,8 +177,8 @@ def test_batch_loss_is_mean_of_example_losses():
     passes = forward_batch(model, examples)
     nodes = [loss_node(fp, ex.answer) for fp, ex in zip(passes, examples)]
     batch = ad.mean_of(nodes)
-    assert batch.item() == pytest.approx(
-        np.mean([n.item() for n in nodes]), rel=1e-12
+    assert float(batch.data) == pytest.approx(
+        np.mean([float(n.data) for n in nodes]), rel=1e-12
     )
 
 
@@ -232,12 +235,12 @@ def test_eval_passes_restore_grad_mode_between_yields():
     model, examples = _tiny_setup()
     seen = []
     for fp in eval_passes(model, examples * 20):
-        assert ad.grad_enabled()
+        assert grad_enabled()
         assert fp.p._backward is None
         seen.append(fp.example)
         if len(seen) == 40:
             break
-    assert ad.grad_enabled()
+    assert grad_enabled()
     assert seen == (examples * 20)[:40]
 
 
