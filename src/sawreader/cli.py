@@ -8,6 +8,8 @@ variable overrides the seed for gen-data, train, and sweep.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -147,12 +149,14 @@ def _cmd_eval(args) -> int:
     ]
     print("\n".join(lines))
     if args.out:
-        rows = ["id,gold,predicted,correct,oov_answer"]
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(("id", "gold", "predicted", "correct", "oov_answer"))
         for r in report.results:
-            rows.append(
-                f"{r.id},{r.gold},{r.predicted},{int(r.correct)},{int(r.oov_answer)}"
+            writer.writerow(
+                (r.id, r.gold, r.predicted, int(r.correct), int(r.oov_answer))
             )
-        _write_or_stdout("\n".join(rows) + "\n", args.out)
+        _write_or_stdout(text.getvalue(), args.out)
     return 0
 
 
@@ -177,17 +181,29 @@ def _cmd_predict(args) -> int:
 
 
 def _parse_sweep_values(axis: str, raw: str) -> list:
+    """The --values entries as the swept field's type, each checked against
+    the field's range checks, so a bad entry fails before any training."""
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
         raise ValueError("sweep values must be a non-empty comma-separated list")
-    kind = type(getattr(ReaderConfig(), SWEEP_AXES[axis]))
-    return [kind(p) for p in parts]
+    field = SWEEP_AXES[axis]
+    defaults = ReaderConfig()
+    kind = type(getattr(defaults, field))
+    values = []
+    for part in parts:
+        try:
+            value = kind(part)
+            replace(defaults, **{field: value})
+        except ValueError as err:
+            raise ValueError(f"--axis {axis} --values entry {part!r}: {err}") from None
+        values.append(value)
+    return values
 
 
 def _cmd_sweep(args) -> int:
     reader_cfg, train_cfg = _load_configs(args.config)
-    splits = {split: _load_split(args.data, split) for split in ("train", "valid", "test")}
     values = _parse_sweep_values(args.axis, args.values)
+    splits = {split: _load_split(args.data, split) for split in ("train", "valid", "test")}
 
     def log(row):
         print(

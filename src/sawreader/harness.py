@@ -130,9 +130,13 @@ def sweep(
         )
     if not values:
         raise ValueError("sweep: no values given")
+    # every config is built, and so checked, before the first one trains
+    configs = [
+        dataclasses.replace(reader_config, **{SWEEP_AXES[axis]: value})
+        for value in values
+    ]
     rows: list[SweepRow] = []
-    for value in values:
-        config = dataclasses.replace(reader_config, **{SWEEP_AXES[axis]: value})
+    for value, config in zip(values, configs):
         model = new_model(splits["train"], config, seed=train_config.seed)
         train(model, splits["train"], splits["valid"], train_config)
         row = SweepRow(

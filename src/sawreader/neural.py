@@ -1,7 +1,8 @@
 """GRU recurrences, parameter storage, and dropout.
 
 The BiGRU is one fused tape node for both directions: the batched scan
-runs in numpy, and the hand-derived backward replays the cached gates.
+runs in numpy, and the hand-derived backward replays the cached gates. A
+large scan runs each direction on its own thread, with the same arithmetic.
 The scan works on the packed layout of pack_padded_sequence and cuDNN:
 rows sorted by length, so each step touches only the rows still running,
 and the backward direction starts each row at its own last token. Padded
@@ -12,6 +13,7 @@ per-step oracle and central finite differences in the test suite.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,14 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 INIT_SCALE = 0.05
+
+# A BiGRU runs its two directions on two threads when rows at step 0 times
+# hidden squared reaches this; README gives the measured crossover.
+THREADED_MIN_WORK = 16 * 128 * 128
+# the name prefix of that one worker thread
+WORKER_NAME = "sawreader-bigru"
+_worker_pool = None
+_worker_lock = threading.Lock()
 
 
 @dataclass
@@ -212,47 +222,52 @@ def _packing(lengths: np.ndarray, steps: int):
     return src, counts.tolist(), starts.tolist(), rank
 
 
-def bigru_batch(
-    x: Tensor, lengths: np.ndarray, fwd: GruParams, bwd: GruParams
-) -> Tensor:
-    """Bidirectional scan over (B, T, in); rows past each length are frozen.
+def _worker():
+    """The one thread that runs direction 1 of a large scan, made on first use."""
+    global _worker_pool
+    with _worker_lock:
+        if _worker_pool is None:
+            from concurrent.futures import ThreadPoolExecutor
 
-    Output is (B, T, 2*hidden): forward states then backward states. The
-    forward state at a sequence's last real position and the backward state
-    at position 0 are that sequence's final states. Past its length a row's
-    forward state stays at its final state and its backward state is zero;
-    padded inputs are never read and get zero gradient.
+            _worker_pool = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix=WORKER_NAME
+            )
+    return _worker_pool
 
-    Both directions run in one time loop over the packed real positions
-    (see _packing), with the states of step s stacked as (2, counts[s], h)
-    and one batched matmul per gate group. The input projection is one GEMM
-    per direction before the loop, into a (2, N_real, 3h) gate buffer that
-    each step overwrites with its activations r, z and the candidate state;
-    that buffer is what the hand-derived backward replays.
+
+def _each_direction(run, threaded: bool) -> list:
+    """run over the direction pair: its per-direction results, in order.
+
+    run takes a slice of the leading direction axis and returns a list.
+    Serially it is called once on both directions; threaded, the worker
+    runs direction 1 while this thread runs direction 0 (numpy releases the
+    GIL in BLAS calls and ufunc loops, so the two overlap). run writes into
+    the caller's buffers, so this returns only after both calls have ended,
+    also when one raises.
     """
-    if x.ndim != 3:
-        raise ValueError("bigru_batch: expected a (B, T, in) tensor")
-    batch, steps, in_dim = x.shape
-    if in_dim != fwd.input_dim or in_dim != bwd.input_dim:
-        raise ValueError(
-            f"bigru_batch: input dim {in_dim} does not match GRU params"
-        )
-    if fwd.hidden_dim != bwd.hidden_dim:
-        raise ValueError("bigru_batch: direction hidden dims differ")
-    lengths = np.asarray(lengths, dtype=np.intp)
-    if lengths.shape != (batch,) or (lengths < 1).any() or (lengths > steps).any():
-        raise ValueError("bigru_batch: lengths must be in [1, T] per batch row")
-    hid = fwd.hidden_dim
-    dirs = (fwd, bwd)
-    src, counts, starts, rank = _packing(lengths, steps)
-    gates = np.empty((2, src.shape[1], 3 * hid))
-    for d, p in enumerate(dirs):
-        np.matmul(x.data.reshape(-1, in_dim)[src[d]], p.W.data.T, out=gates[d])
-        gates[d] += p.b.data
-    u_rz = np.stack([p.U.data[: 2 * hid] for p in dirs])
-    u_cand = np.stack([p.U.data[2 * hid :] for p in dirs])
-    states = np.empty((2, src.shape[1], hid))
-    h = np.zeros((2, batch, hid))
+    if not threaded:
+        return run(slice(0, 2))
+    future = _worker().submit(run, slice(1, 2))
+    try:
+        first = run(slice(0, 1))
+    except BaseException:
+        future.exception()  # waits for direction 1
+        raise
+    return first + future.result()
+
+
+def _scan(x_flat, src, w, b, u_rz, u_cand, counts, starts, gates, states) -> list:
+    """Forward recurrence of the directions stacked on the leading axis.
+
+    w and b list each direction's W and b; src, u_rz, u_cand, gates and
+    states hold one entry per direction. Fills gates with each step's r, z
+    and candidate state, and states with the new state; returns no results.
+    """
+    hid = u_cand.shape[2]
+    for d in range(len(w)):
+        np.matmul(x_flat[src[d]], w[d].T, out=gates[d])
+        gates[d] += b[d]
+    h = np.zeros((len(w), counts[0], hid))
     for lo, n in zip(starts, counts):
         h = h[:, :n]
         g = gates[:, lo : lo + n]
@@ -273,6 +288,115 @@ def bigru_batch(
         h_new *= z
         h_new += h
         h = h_new
+    return []
+
+
+def _scan_backward(
+    x_flat, src, w, u_rz, u_cand, counts, starts, gates, h_prev, d_state, xs, need_dx
+) -> list:
+    """Backward of _scan for the directions stacked on the leading axis.
+
+    Uses up its buffers, as the tape runs a node's backward once: each
+    slot's gates become its gate pre-activation gradients, and d_state,
+    the gradient on each slot's state, ends holding r * h_prev. Returns
+    each direction's (dW, dU, db); with need_dx, xs ends holding each
+    direction's input gradient in packed order.
+    """
+    hid = u_cand.shape[2]
+    batch = counts[0]
+    dh = np.zeros((len(w), 0, hid))  # nothing flows into the last step
+    for lo, n in zip(reversed(starts[:-1]), reversed(counts)):
+        dh_total = d_state[:, lo : lo + n]
+        dh_total[:, : dh.shape[1]] += dh
+        g = gates[:, lo : lo + n]
+        r, z, cand = g[..., :hid], g[..., hid : 2 * hid], g[..., 2 * hid :]
+        hp = h_prev[:, lo - batch : lo - batch + n] if lo else 0.0
+        # read the candidate before its slot takes its gradient
+        cand_hp = cand - hp
+        d_tanh = 1.0 - cand * cand
+        da_cand = np.multiply(dh_total, z, out=cand)
+        da_cand *= d_tanh
+        drh = da_cand @ u_cand
+        one_z = 1.0 - z
+        dh = dh_total * one_z + drh * r
+        da_z = dh_total * cand_hp * z * one_z
+        if lo:
+            np.multiply(r, hp, out=dh_total)
+        r[...] = drh * hp * r * (1.0 - r)
+        z[...] = da_z
+        dh += g[..., : 2 * hid] @ u_rz
+    # xs takes each direction's gathered inputs, then its input gradient:
+    # one (N_real, in) buffer per direction, made by the caller
+    results = []
+    for d in range(len(w)):
+        # step 0 read zeros, so only the later slots add to dU
+        da, da_later, rh = gates[d], gates[d, batch:], d_state[d, batch:]
+        du = np.concatenate(
+            [da_later[:, : 2 * hid].T @ h_prev[d], da_later[:, 2 * hid :].T @ rh]
+        )
+        np.take(x_flat, src[d], axis=0, out=xs[d])
+        results.append((da.T @ xs[d], du, da.sum(axis=0)))
+        if need_dx:
+            np.matmul(da, w[d], out=xs[d])
+    return results
+
+
+def bigru_batch(
+    x: Tensor, lengths: np.ndarray, fwd: GruParams, bwd: GruParams
+) -> Tensor:
+    """Bidirectional scan over (B, T, in); rows past each length are frozen.
+
+    Output is (B, T, 2*hidden): forward states then backward states. The
+    forward state at a sequence's last real position and the backward state
+    at position 0 are that sequence's final states. Past its length a row's
+    forward state stays at its final state and its backward state is zero;
+    padded inputs are never read and get zero gradient.
+
+    The scan runs over the packed real positions (see _packing), with the
+    states of step s stacked as (directions, counts[s], h) and one batched
+    matmul per gate group. The input projection is one GEMM per direction
+    before the loop, into a (2, N_real, 3h) gate buffer that each step
+    overwrites with its activations r, z and the candidate state; the
+    hand-derived backward replays that buffer and overwrites it with the
+    gate gradients. When a step's work, B * h * h, reaches
+    THREADED_MIN_WORK, each direction's projection, scan and gradient GEMMs
+    run on their own thread; the arithmetic, and so every bit of the
+    results, is the same either way.
+    """
+    if x.ndim != 3:
+        raise ValueError("bigru_batch: expected a (B, T, in) tensor")
+    batch, steps, in_dim = x.shape
+    if in_dim != fwd.input_dim or in_dim != bwd.input_dim:
+        raise ValueError(
+            f"bigru_batch: input dim {in_dim} does not match GRU params"
+        )
+    if fwd.hidden_dim != bwd.hidden_dim:
+        raise ValueError("bigru_batch: direction hidden dims differ")
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.shape != (batch,) or (lengths < 1).any() or (lengths > steps).any():
+        raise ValueError("bigru_batch: lengths must be in [1, T] per batch row")
+    hid = fwd.hidden_dim
+    dirs = (fwd, bwd)
+    threaded = batch * hid * hid >= THREADED_MIN_WORK
+    src, counts, starts, rank = _packing(lengths, steps)
+    x_flat = x.data.reshape(-1, in_dim)
+    w = [p.W.data for p in dirs]
+    b = [p.b.data for p in dirs]
+    u_rz = np.stack([p.U.data[: 2 * hid] for p in dirs])
+    u_cand = np.stack([p.U.data[2 * hid :] for p in dirs])
+    gates = np.empty((2, src.shape[1], 3 * hid))
+    states = np.empty((2, src.shape[1], hid))
+    _each_direction(
+        lambda ds: _scan(
+            x_flat, src[ds], w[ds], b[ds], u_rz[ds], u_cand[ds],
+            counts, starts, gates[ds], states[ds],
+        ),
+        threaded,
+    )
+    parents = (x, fwd.W, fwd.U, fwd.b, bwd.W, bwd.U, bwd.b)
+    needs_grad = ad._needs(*parents)
+    if not needs_grad:
+        del gates  # only the backward replays it; freed before res is made
     # back to (B, T, 2h): each forward position past a row's length reads
     # the row's final slot, and backward padding stays zero
     last = np.minimum(np.arange(steps)[None, :], lengths[:, None] - 1)
@@ -280,13 +404,15 @@ def bigru_batch(
     res[:, :, :hid] = states[0][np.take(starts, last) + rank[:, None]]
     res.reshape(-1, 2 * hid)[src[1], hid:] = states[1]
     out = Tensor(res)
-    parents = (x, fwd.W, fwd.U, fwd.b, bwd.W, bwd.U, bwd.b)
-    if not ad._needs(*parents):
+    if not needs_grad:
         return out
 
     def backward():
-        g_out = out.grad.reshape(-1, 2 * hid)
-        d_state = np.stack([g_out[src[0], :hid], g_out[src[1], hid:]])
+        g_out = out.grad.reshape(-1, 2, hid)
+        # gathered straight into their buffers, with no per-direction copies
+        d_state = np.empty((2, src.shape[1], hid))
+        for d in range(2):
+            np.take(g_out[:, d], src[d], axis=0, out=d_state[d])
         # a gradient on a frozen forward position reaches the final state
         pad = np.arange(steps)[None, :] >= lengths[:, None]
         if pad.any():
@@ -294,43 +420,29 @@ def bigru_batch(
             d_state[0][np.take(starts, lengths - 1) + rank] += tail
         # the state each slot after step 0 read: the previous position in its
         # own direction (step 0 read zeros)
-        o_flat = out.data.reshape(-1, 2 * hid)
-        h_prev = np.stack(
-            [o_flat[src[0, batch:] - 1, :hid], o_flat[src[1, batch:] + 1, hid:]]
+        o_flat = out.data.reshape(-1, 2, hid)
+        h_prev = np.empty((2, src.shape[1] - batch, hid))
+        for d, step in enumerate((-1, 1)):
+            np.take(o_flat[:, d], src[d, batch:] + step, axis=0, out=h_prev[d])
+        xs = np.empty((2, src.shape[1], in_dim))
+        need_dx = x.requires_grad
+        per_dir = _each_direction(
+            lambda ds: _scan_backward(
+                x_flat, src[ds], w[ds], u_rz[ds], u_cand[ds], counts, starts,
+                gates[ds], h_prev[ds], d_state[ds], xs[ds], need_dx,
+            ),
+            threaded,
         )
-        da = np.empty_like(gates)
-        dh = np.zeros((2, 0, hid))  # nothing flows into the last step
-        for lo, n in zip(reversed(starts[:-1]), reversed(counts)):
-            dh_total = d_state[:, lo : lo + n]
-            dh_total[:, : dh.shape[1]] += dh
-            g = gates[:, lo : lo + n]
-            r, z, cand = g[..., :hid], g[..., hid : 2 * hid], g[..., 2 * hid :]
-            a = da[:, lo : lo + n]
-            da_cand = a[..., 2 * hid :]
-            np.multiply(dh_total, z, out=da_cand)
-            da_cand *= 1.0 - cand * cand
-            drh = da_cand @ u_cand
-            dh = dh_total * (1.0 - z) + drh * r
-            hp = h_prev[:, lo - batch : lo - batch + n] if lo else 0.0
-            a[..., :hid] = drh * hp * r * (1.0 - r)
-            a[..., hid : 2 * hid] = dh_total * (cand - hp) * z * (1.0 - z)
-            dh += a[..., : 2 * hid] @ u_rz
-        x_flat = x.data.reshape(-1, in_dim)
-        dx = np.zeros_like(x_flat)
-        for d, p in enumerate(dirs):
-            # step 0 read zeros, so only the later slots add to dU
-            da_later = da[d, batch:]
-            rh = gates[d, batch:, :hid] * h_prev[d]
-            du = np.concatenate(
-                [da_later[:, : 2 * hid].T @ h_prev[d], da_later[:, 2 * hid :].T @ rh]
-            )
-            grads = (da[d].T @ x_flat[src[d]], du, da[d].sum(axis=0))
+        # spent: freed before dx is made, which lowers the peak
+        del d_state, h_prev
+        for p, grads in zip(dirs, per_dir):
             for t, grad in zip((p.W, p.U, p.b), grads):
                 if t.requires_grad:
                     ad.accumulate(t, grad)
-            if x.requires_grad:
-                dx[src[d]] += da[d] @ p.W.data
-        if x.requires_grad:
+        if need_dx:
+            dx = np.zeros_like(x_flat)
+            for d in range(2):
+                dx[src[d]] += xs[d]
             ad.accumulate(x, dx.reshape(x.shape))
 
     return ad._record(out, parents, backward)

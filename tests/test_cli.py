@@ -1,12 +1,14 @@
 """End-to-end command line runs against temporary directories."""
 
+import csv
 import json
 import os
 
 import pytest
 
+from sawreader import harness
 from sawreader.cli import _parse_sweep_values, main
-from sawreader.data import load_dataset
+from sawreader.data import ClozeExample, load_dataset, save_dataset
 
 TINY_CONFIG = """
 integration_op = "mul"
@@ -237,6 +239,60 @@ def test_sweep_values_take_the_swept_field_type():
         _parse_sweep_values("merges", "1.5")
     with pytest.raises(ValueError, match="non-empty"):
         _parse_sweep_values("op", " , ")
+
+
+@pytest.mark.parametrize(
+    "axis, values, message",
+    [
+        ("gamma", "0.9,1.5", "--axis gamma --values entry '1.5': invalid filter ratio: 1.5"),
+        (
+            "merges",
+            "10,abc",
+            "--axis merges --values entry 'abc': "
+            "invalid literal for int() with base 10: 'abc'",
+        ),
+    ],
+)
+def test_sweep_rejects_a_bad_value_before_training(
+    workspace, monkeypatch, capsys, axis, values, message
+):
+    _, data_dir, config_path = workspace
+    trained = []
+    monkeypatch.setattr(harness, "train", lambda *args, **kwargs: trained.append(args))
+    rc = main(
+        ["sweep", "--axis", axis, "--values", values, "--config", str(config_path),
+         "--data", str(data_dir)]
+    )
+    assert rc == 1
+    assert trained == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_eval_csv_quotes_commas_and_quotes(workspace, capsys):
+    tmp_path, data_dir, config_path = workspace
+    ckpt = tmp_path / "ckpt"
+    assert main(
+        ["train", "--config", str(config_path), "--data", str(data_dir), "--out", str(ckpt)]
+    ) == 0
+    examples = [
+        ClozeExample("q,1", ("a,b", 'say"hi"', "a,b"), ("<blank>", "x"), "a,b"),
+        ClozeExample('say "hi"', ('"q"', "c,d,"), ("<blank>",), '"q"'),
+    ]
+    data = tmp_path / "odd.jsonl"
+    save_dataset(data, examples)
+    out = tmp_path / "odd.csv"
+    assert main(["eval", "--model", str(ckpt), "--input", str(data), "--out", str(out)]) == 0
+    capsys.readouterr()
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["id", "gold", "predicted", "correct", "oov_answer"]
+    assert [row[:2] for row in rows[1:]] == [[ex.id, ex.answer] for ex in examples]
+    for row, ex in zip(rows[1:], examples):
+        assert row[2] in ex.document
+        assert row[3] == str(int(row[2] == ex.answer))
+        assert row[4] in ("0", "1")
 
 
 def test_error_paths_exit_one(tmp_path, capsys):

@@ -2,8 +2,15 @@
 
 The packed bidirectional scan is checked two independent ways: value-for-value
 against a plain per-step loop built from gru_step, and gradient-for-gradient
-against central finite differences.
+against central finite differences. Both checks run on the serial path and on
+the path that gives each direction its own thread, and the two paths are
+checked to agree bit for bit.
 """
+
+import sys
+import threading
+import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -287,6 +294,121 @@ def test_bigru_batch_permuting_rows_permutes_outputs_and_gradients(case):
     assert np.allclose(grads_p.pop("x"), grads.pop("x")[perm], rtol=0, atol=1e-12)
     for name in grads:
         assert np.allclose(grads_p[name], grads[name], rtol=0, atol=1e-12), name
+
+
+@contextmanager
+def _scan_path(threaded):
+    """Force bigru_batch onto the two-thread path, or onto the serial one."""
+    saved = neural.THREADED_MIN_WORK
+    neural.THREADED_MIN_WORK = 0 if threaded else sys.maxsize
+    try:
+        yield
+    finally:
+        neural.THREADED_MIN_WORK = saved
+
+
+@pytest.mark.parametrize("threaded", [False, True], ids=["serial", "threaded"])
+@pytest.mark.parametrize(
+    "check",
+    [
+        test_bigru_batch_matches_stepwise_loop,
+        test_bigru_batch_freezes_padded_rows,
+        test_bigru_batch_gradients_match_finite_differences,
+        test_bigru_batch_input_gradient,
+        test_fused_backward_matches_stepwise_tape_gradients,
+        test_bigru_batch_matches_stepwise_oracle_and_padding_never_leaks,
+    ],
+    ids=lambda check: check.__name__.removeprefix("test_"),
+)
+def test_scan_checks_hold_on_both_paths(check, threaded):
+    with _scan_path(threaded):
+        check()
+
+
+@st.composite
+def _path_cases(draw):
+    """Skewed, tied or free lengths, with sizes small and past a BLAS block."""
+    lengths, steps = draw(_lengths())
+    return (
+        lengths,
+        steps,
+        draw(st.sampled_from([1, 3, 100])),
+        draw(st.sampled_from([1, 2, 5, 130])),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(deadline=None, max_examples=30)
+@given(_path_cases())
+def test_threaded_scan_is_bit_equal_to_serial(case):
+    lengths, steps, in_dim, hid, seed = case
+    rng = np.random.default_rng(seed)
+    fwd, bwd, store = _random_grus(rng, in_dim, hid)
+    # padded positions hold noise, which neither path may read
+    x = Tensor(rng.standard_normal((len(lengths), steps, in_dim)), requires_grad=True)
+    w = rng.standard_normal(len(lengths) * steps * 2 * hid)
+    results = []
+    for threaded in (False, True):
+        with _scan_path(threaded):
+            out = bigru_batch(x, lengths, fwd, bwd)
+            flat = ad.reshape(out, (out.data.size,))
+            obj = sum_at(ad.mul(flat, Tensor(w)), np.arange(flat.data.size))
+            results.append((out.data, _grads_of(obj, store, x)))
+    (out_s, grads_s), (out_t, grads_t) = results
+    assert np.array_equal(out_t, out_s)
+    assert grads_t.keys() == grads_s.keys()
+    for name in grads_s:
+        assert np.array_equal(grads_t[name], grads_s[name]), name
+
+
+def _on_worker():
+    return threading.current_thread().name.startswith(neural.WORKER_NAME)
+
+
+@pytest.mark.parametrize("failing", ["caller", "worker"])
+@pytest.mark.parametrize("stage", ["_scan", "_scan_backward"])
+def test_threaded_scan_error_reaches_caller_after_both_directions(
+    monkeypatch, stage, failing
+):
+    rng = np.random.default_rng(30)
+    fwd, bwd, store = _random_grus(rng, 3, 4)
+    lengths = np.array([5, 2, 4])
+    x = Tensor(rng.standard_normal((3, 5, 3)), requires_grad=True)
+    g = rng.standard_normal((3, 5, 8))
+
+    def run():
+        out = bigru_batch(x, lengths, fwd, bwd)
+        out.grad = g
+        store.zero_grads()
+        x.grad = None
+        out._backward()
+        return out.data, x.grad, store.grads()
+
+    real = getattr(neural, stage)
+    ended = []
+
+    def one_direction_fails(*args):
+        if _on_worker() == (failing == "worker"):
+            raise RuntimeError("direction failed")
+        # still running when the other direction has failed
+        time.sleep(0.05)
+        result = real(*args)
+        ended.append(threading.current_thread().name)
+        return result
+
+    with _scan_path(True):
+        expected = run()
+        monkeypatch.setattr(neural, stage, one_direction_fails)
+        with pytest.raises(RuntimeError, match="direction failed"):
+            run()
+        # the direction that did not fail had ended before the error arrived
+        assert len(ended) == 1
+        monkeypatch.setattr(neural, stage, real)
+        again = run()
+    assert np.array_equal(again[0], expected[0])
+    assert np.array_equal(again[1], expected[1])
+    for name in expected[2]:
+        assert np.array_equal(again[2][name], expected[2][name]), name
 
 
 def test_bigru_batch_length_validation():

@@ -1,13 +1,18 @@
 """Optimizer arithmetic, clipping, the lr schedule, and the train loop."""
 
 import gc
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sawreader import autodiff as ad
-from sawreader import training
+import sawreader
+from sawreader import neural, training
 from sawreader.data import ClozeExample
 from sawreader.harness import build_pipeline, evaluate, new_model
 from sawreader.neural import ParamStore
@@ -346,3 +351,61 @@ def test_train_runs_no_eval_pass_over_train_split(monkeypatch):
         "train": config.epochs * len(train_set),
         "eval": config.epochs * len(valid_set),
     }
+
+
+# the README quickstart, trained for two epochs and evaluated in a fresh process
+QUICKSTART = """
+import sys, threading
+from sawreader import (ReaderConfig, SyntheticSpec, TrainConfig, evaluate,
+                       generate_synthetic, neural, new_model, train)
+splits = generate_synthetic(SyntheticSpec(vocab_size=80, entity_pool=20,
+                                          doc_len_range=(12, 24), num_examples=250, seed=5))
+config = ReaderConfig(integration_op="mul", num_layers=2, hidden=16, word_dim=16,
+                      subword_dim=16, gamma=0.9, num_merges=100, dropout=0.0)
+model = new_model(splits["train"], config, seed=0)
+train(model, splits["train"], splits["valid"], TrainConfig(batch_size=8, base_lr=0.04, epochs=2))
+evaluate(model, splits["test"])
+print(any(t.name.startswith(neural.WORKER_NAME) for t in threading.enumerate()))
+print("concurrent.futures" in sys.modules)
+"""
+
+
+def test_quickstart_trains_without_a_worker_thread():
+    src = str(Path(sawreader.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", QUICKSTART],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    worker_seen, futures_loaded = done.stdout.splitlines()
+    assert worker_seen == "False"
+    assert futures_loaded == "False"
+
+
+def test_default_config_trains_bit_identically_with_threads_off(tmp_path, monkeypatch):
+    splits = generate_synthetic(SyntheticSpec(num_examples=80, seed=2))
+    reader_cfg = ReaderConfig()
+    config = TrainConfig(epochs=2, seed=0)
+    assert config.batch_size * reader_cfg.hidden**2 >= neural.THREADED_MIN_WORK
+    started = []
+    worker = neural._worker
+    monkeypatch.setattr(neural, "_worker", lambda: started.append(1) or worker())
+    saved = {}
+    for run, min_work in (("threaded", neural.THREADED_MIN_WORK), ("serial", sys.maxsize)):
+        monkeypatch.setattr(neural, "THREADED_MIN_WORK", min_work)
+        model = new_model(splits["train"], reader_cfg, seed=0)
+        history = train(model, splits["train"], splits["valid"], config)
+        history.save(tmp_path / f"{run}.csv")
+        saved[run] = model.params.items()
+        if run == "threaded":
+            assert started, "the default config should take the threaded path"
+            started.clear()
+    assert not started
+    assert (tmp_path / "threaded.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    for (name, p), (name_s, p_s) in zip(saved["threaded"], saved["serial"]):
+        assert name == name_s
+        assert p.data.tobytes() == p_s.data.tobytes(), name
