@@ -84,10 +84,11 @@ class Tensor:
 
 
 def accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add g into t.grad, allocating the slot on first touch."""
+    """Add g into t.grad; the first touch stores a float64 copy of g."""
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=np.float64)
+    else:
+        t.grad += g
 
 
 def _record(out: Tensor, parents: tuple[Tensor, ...], backward) -> Tensor:

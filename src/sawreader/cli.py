@@ -128,7 +128,6 @@ def _cmd_train(args) -> int:
         )
 
     history = train(model, train_set, valid_set, train_cfg, log=log)
-    os.makedirs(args.out, exist_ok=True)
     save_model(model, args.out)
     history.save(os.path.join(args.out, "history.csv"))
     print(f"saved checkpoint to {args.out}")

@@ -18,32 +18,28 @@ from .reader import ForwardPass, ReaderModel, answer, forward_batch
 
 LOSS_FLOOR = 1e-12
 EVAL_CHUNK = 32
+CLIP_THRESHOLD = 10.0
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
 class TrainConfig:
     batch_size: int = 64
     base_lr: float = 0.001
-    clip_threshold: float = 10.0
     epochs: int = 10
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        for field in ("base_lr", "clip_threshold", "adam_eps"):
-            value = getattr(self, field)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{field} must be finite and positive, got {value!r}")
+        if not (math.isfinite(self.base_lr) and self.base_lr > 0):
+            raise ValueError(f"base_lr must be finite and positive, got {self.base_lr!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not 0 <= self.adam_beta1 < 1 or not 0 <= self.adam_beta2 < 1:
-            raise ValueError("adam betas must be in [0, 1)")
 
 
 class AdamState:
@@ -66,45 +62,43 @@ def loss_node(pass_result, answer_word: str) -> Tensor:
     return ad.nll_at(pass_result.p, positions, LOSS_FLOOR)
 
 
-def clip_gradients(
-    grads: dict[str, np.ndarray], threshold: float
-) -> dict[str, np.ndarray]:
-    """Scale all gradients so the global L2 norm is at most the threshold."""
+def clip_gradients(grads: dict[str, np.ndarray], threshold: float) -> float:
+    """Scale the gradients in place so their global L2 norm is at most the
+    threshold, and return the norm before clipping."""
     if threshold <= 0:
         raise ValueError("clip threshold must be positive")
     total = 0.0
     for g in grads.values():
-        if not np.isfinite(g).all():
-            raise ValueError("non-finite gradient")
         total += float((g * g).sum())
-    norm = np.sqrt(total)
-    if norm <= threshold:
-        return {name: g.copy() for name, g in grads.items()}
-    factor = threshold / norm
-    return {name: g * factor for name, g in grads.items()}
+    norm = math.sqrt(total)
+    if not math.isfinite(norm):
+        for name, g in grads.items():
+            if not np.isfinite(g).all():
+                raise ValueError(f"non-finite gradient for {name}")
+        raise ValueError("gradient norm is not finite: the sum of squares overflows")
+    if norm > threshold:
+        factor = threshold / norm
+        for g in grads.values():
+            g *= factor
+    return norm
 
 
 def adam_step(
-    params: ParamStore,
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    lr: float,
-    config: TrainConfig,
+    params: ParamStore, grads: dict[str, np.ndarray], state: AdamState, lr: float
 ) -> None:
-    """Bias-corrected Adam update, applied in place."""
-    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
+    """Bias-corrected Adam update of the parameters and moments, in place."""
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     state.t += 1
     corr1 = 1.0 - b1**state.t
     corr2 = 1.0 - b2**state.t
     for name, t in params.items():
         g = grads[name]
-        if not np.isfinite(g).all():
-            raise ValueError(f"non-finite gradient for {name}")
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        m_hat = state.m[name] / corr1
-        v_hat = state.v[name] / corr2
-        t.data = t.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+        m, v = state.m[name], state.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        t.data -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
 
 
 def lr_schedule(epoch: int, base_lr: float) -> float:
@@ -215,13 +209,14 @@ def train(
                     raise ValueError("non-finite loss")
                 model.params.zero_grads()
                 batch_loss.backward()
-                grads = clip_gradients(model.params.grads(), config.clip_threshold)
+                grads = model.params.grads()
+                clip_gradients(grads, CLIP_THRESHOLD)
             except ValueError as err:
                 # a NaN parameter fails the softmax, a non-finite loss or
                 # gradient fails here or in clipping; say which examples
                 ids = ", ".join(repr(ex.id) for ex in batch)
                 raise ValueError(f"epoch {epoch}, examples {ids}: {err}") from err
-            adam_step(model.params, grads, state, lr, config)
+            adam_step(model.params, grads, state, lr)
             total_loss += float(batch_loss.data) * len(batch)
             correct += sum(answer(fp.dist) == ex.answer for fp, ex in zip(passes, batch))
         row = EpochStats(

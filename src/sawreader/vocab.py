@@ -23,16 +23,12 @@ class Vocabulary:
     def __init__(self, words: Sequence[str], counts: dict[str, int]):
         self.words: list[str] = list(words)
         self.counts: dict[str, int] = dict(counts)
-        self._rank = {w: i for i, w in enumerate(self.words)}
-        if len(self._rank) != len(self.words):
+        if len(set(self.words)) != len(self.words):
             raise ValueError("vocabulary contains duplicate words")
 
     @property
     def size(self) -> int:
         return len(self.words)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self._rank
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

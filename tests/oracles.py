@@ -8,7 +8,8 @@ against, count_bigrams gives the pair counts the hand-counted BPE tests
 check, and grad_check is the one finite-difference checker; the small tape
 ops and the scalar loss and norm helpers keep the tests short.
 random_guess_accuracy is the chance baseline the accuracy criteria compare
-against.
+against. clip_out_of_place and adam_out_of_place are the copying optimizer
+step the in-place clip_gradients and adam_step are checked against.
 """
 
 from collections import Counter
@@ -19,7 +20,7 @@ from sawreader import autodiff as ad
 from sawreader.autodiff import Tensor
 from sawreader.bpe import MergeTable, _merge_symbols, _pair_occurrences
 from sawreader.neural import GruParams, ParamStore, bigru_batch, bigru_finals
-from sawreader.training import loss_node
+from sawreader.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, loss_node
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -276,6 +277,39 @@ def random_guess_accuracy(examples) -> float:
 
 def global_norm(grads: dict[str, np.ndarray]) -> float:
     return float(np.sqrt(sum((g * g).sum() for g in grads.values())))
+
+
+def clip_out_of_place(
+    grads: dict[str, np.ndarray], threshold: float
+) -> tuple[dict[str, np.ndarray], float]:
+    """Clipped copies of the gradients, and their norm before clipping."""
+    total = 0.0
+    for g in grads.values():
+        if not np.isfinite(g).all():
+            raise ValueError("non-finite gradient")
+        total += float((g * g).sum())
+    norm = np.sqrt(total)
+    if norm <= threshold:
+        return {name: g.copy() for name, g in grads.items()}, norm
+    factor = threshold / norm
+    return {name: g * factor for name, g in grads.items()}, norm
+
+
+def adam_out_of_place(
+    params: ParamStore, grads: dict[str, np.ndarray], state: AdamState, lr: float
+) -> None:
+    """Bias-corrected Adam that rebinds the moments and every parameter."""
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+    state.t += 1
+    corr1 = 1.0 - b1**state.t
+    corr2 = 1.0 - b2**state.t
+    for name, t in params.items():
+        g = grads[name]
+        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
+        state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
+        m_hat = state.m[name] / corr1
+        v_hat = state.v[name] / corr2
+        t.data = t.data - lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def loss(pass_result, answer_word: str) -> float:

@@ -370,12 +370,15 @@ def test_criterion_7_optimizer_schedule_clipping_and_defaults(capsys):
     norm = global_norm(raw)
     big = {k: v * (25.0 / norm) for k, v in raw.items()}
     small = {k: v * (4.0 / norm) for k, v in raw.items()}
-    clipped_big = clip_gradients(big, 10.0)
-    clipped_small = clip_gradients(small, 10.0)
+    big_before = {k: v.copy() for k, v in big.items()}
+    norm_big = clip_gradients(big, 10.0)  # clipped in place
+    norm_small = clip_gradients(small, 10.0)
     ok_clip = (
-        abs(global_norm(clipped_big) - 10.0) < 1e-9
-        and abs(global_norm(clipped_small) - 4.0) < 1e-9
-        and np.allclose(clipped_big["a"] * 2.5, big["a"], rtol=1e-12)
+        abs(norm_big - 25.0) < 1e-9
+        and abs(norm_small - 4.0) < 1e-9
+        and abs(global_norm(big) - 10.0) < 1e-9
+        and abs(global_norm(small) - 4.0) < 1e-9
+        and np.allclose(big["a"] * 2.5, big_before["a"], rtol=1e-12)
     )
 
     train_defaults = TrainConfig()
@@ -393,7 +396,8 @@ def test_criterion_7_optimizer_schedule_clipping_and_defaults(capsys):
         7,
         ok_schedule and ok_clip and ok_defaults,
         "lr halves after epoch 2 (0.001, 0.001, 0.0005, 0.00025, 0.000125); "
-        "clipped norms min(25,10)=10 and min(4,10)=4 within 1e-9; defaults "
+        "pre-clip norms 25 and 4 returned and clipped in place to min(25,10)=10 "
+        "and min(4,10)=4 within 1e-9; defaults "
         "batch=64, layers=3, hidden=128, dropout=0.5, merges=1000, gamma=0.9",
     )
 

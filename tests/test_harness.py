@@ -54,7 +54,7 @@ def test_build_pipeline_covers_query_tokens():
     merges, subwords, vocab, short_list = build_pipeline(splits["train"], config)
     for ex in splits["train"]:
         for token in ex.document + ex.query:
-            assert token in vocab
+            assert token in vocab.counts
     assert merges.num_merges <= config.num_merges
     assert short_list.kept_count <= vocab.size
 

@@ -19,7 +19,7 @@ def test_build_vocab_orders_by_count_then_first_seen():
     # a and b both occur twice; b appeared first
     assert vocab.words == ["b", "a", "c"]
     assert vocab.counts == {"b": 2, "a": 2, "c": 1}
-    assert "a" in vocab and "z" not in vocab
+    assert "a" in vocab.counts and "z" not in vocab.counts
 
 
 def test_build_vocab_rejects_empty_corpus():
