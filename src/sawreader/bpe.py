@@ -6,6 +6,13 @@ counted left to right without overlap, so "aaa" holds one (a, a) pair.
 Ties break toward the lexicographically smallest (left, right) pair, which
 keeps training deterministic.
 
+Learning keeps every pair's count up to date incrementally and picks each
+merge from a lazy max-heap of (-count, pair) entries: a re-counted pair is
+pushed again with its new count, and an entry whose count no longer equals
+the pair's current count is stale and skipped when it reaches the top.
+Tuple order makes the top entry the most frequent pair, smallest first on
+ties, so the heap picks the same merge a scan of every count would.
+
 Segmentation gives the result of replaying every merge in rank order, but
 skips the rules that cannot fire. A rule changes the symbols only if its
 pair occurs in them, so the replay equals repeating one step: among the
@@ -18,9 +25,10 @@ before "ab" existed, while lowest-rank-first without a floor would give
 
 from __future__ import annotations
 
+import heapq
 import os
 from bisect import bisect_left
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -115,21 +123,21 @@ class Segmentation:
             )
 
 
-def _pair_occurrences(symbols: Sequence[str]) -> Counter:
+def _pair_occurrences(symbols: Sequence[str]) -> dict[Pair, int]:
     """Non-overlapping adjacent pair counts, scanned left to right.
 
-    For each pair type independently: an occurrence at position i is
-    skipped when the same pair was counted at i-1, which matches greedy
-    left-to-right replacement.
+    An occurrence at position i is skipped when the same pair was counted
+    at i-1, which matches greedy left-to-right replacement. Only the pair
+    at i-1 can overlap the one at i, so one look-back pair is enough.
     """
-    counts: Counter = Counter()
-    last_counted: dict[Pair, int] = {}
-    for i in range(len(symbols) - 1):
-        pair = (symbols[i], symbols[i + 1])
-        if last_counted.get(pair) == i - 1:
+    counts: dict[Pair, int] = {}
+    prev = None
+    for pair in zip(symbols, symbols[1:]):
+        if pair == prev:
+            prev = None
             continue
-        counts[pair] += 1
-        last_counted[pair] = i
+        counts[pair] = counts.get(pair, 0) + 1
+        prev = pair
     return counts
 
 
@@ -155,28 +163,31 @@ def train_bpe(counts: Mapping[str, int], num_merges: int) -> MergeTable:
     pair is left.
 
     Pair counts are maintained incrementally: only words containing the
-    merged pair are re-counted after each merge.
+    merged pair are re-counted after each merge, and each pair those words
+    touched is pushed onto the heap again with its new count when that
+    count is at least 1. The next merge is the top heap entry whose count
+    still equals its pair's current count; stale entries above it are
+    popped and dropped.
     """
     if num_merges < 0:
         raise ValueError(f"num_merges must be >= 0, got {num_merges}")
     segs: dict[str, list[str]] = {w: list(w) for w in counts}
-    pair_counts: Counter = Counter()
+    pair_counts: dict[Pair, int] = defaultdict(int)
     pair_words: dict[Pair, set[str]] = defaultdict(set)
     for word, count in counts.items():
         for pair, n in _pair_occurrences(segs[word]).items():
             pair_counts[pair] += n * count
             pair_words[pair].add(word)
+    heap = [(-count, pair) for pair, count in pair_counts.items() if count >= 1]
+    heapq.heapify(heap)
     rules: list[MergeRule] = []
     for rank in range(num_merges):
-        best: Pair | None = None
-        best_count = 0
-        for pair, count in pair_counts.items():
-            if count < 1:
-                continue
-            if count > best_count or (count == best_count and pair < best):
-                best, best_count = pair, count
-        if best is None:
+        while heap and -heap[0][0] != pair_counts[heap[0][1]]:
+            heapq.heappop(heap)
+        if not heap:
             break
+        best = heapq.heappop(heap)[1]
+        touched: set[Pair] = set()
         for word in pair_words[best].copy():
             count = counts[word]
             before = _pair_occurrences(segs[word])
@@ -184,11 +195,16 @@ def train_bpe(counts: Mapping[str, int], num_merges: int) -> MergeTable:
             after = _pair_occurrences(segs[word])
             for pair, n in before.items():
                 pair_counts[pair] -= n * count
-                if after.get(pair, 0) == 0:
+                if pair not in after:
                     pair_words[pair].discard(word)
             for pair, n in after.items():
                 pair_counts[pair] += n * count
                 pair_words[pair].add(word)
+            touched.update(before)
+            touched.update(after)
+        for pair in touched:
+            if pair_counts[pair] >= 1:
+                heapq.heappush(heap, (-pair_counts[pair], pair))
         rules.append(MergeRule(best[0], best[1], rank))
     return MergeTable(rules)
 

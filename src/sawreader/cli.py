@@ -50,7 +50,13 @@ def _cmd_bpe_train(args) -> int:
     counts = {word: count for _, word, count in read_word_counts(args.input)}
     table = train_bpe(counts, args.merges)
     table.save(args.out)
-    print(f"wrote {args.out} ({table.num_merges} merges)")
+    if table.num_merges < args.merges:
+        print(
+            f"wrote {args.out} ({table.num_merges} of {args.merges} merges: "
+            "no pair left to merge)"
+        )
+    else:
+        print(f"wrote {args.out} ({table.num_merges} merges)")
     return 0
 
 

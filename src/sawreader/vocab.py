@@ -93,11 +93,13 @@ def build_vocab(corpus: Iterable[Sequence[str]]) -> Vocabulary:
     position = 0
     for sequence in corpus:
         for token in sequence:
-            if not token or any(ch.isspace() for ch in token):
-                raise ValueError(f"invalid token: {token!r}")
-            counts[token] = counts.get(token, 0) + 1
             if token not in first_seen:
+                # a token type is checked once, when first seen, so the
+                # first invalid token in corpus order is the one named
+                if not token or any(ch.isspace() for ch in token):
+                    raise ValueError(f"invalid token: {token!r}")
                 first_seen[token] = position
+            counts[token] = counts.get(token, 0) + 1
             position += 1
     if not counts:
         raise ValueError("empty corpus")

@@ -3,6 +3,7 @@
 The package never calls these. The per-step GRU and single-sequence BiGRU
 are the oracles the fused batched scan is checked against,
 gated_attention_2d is the one the batched masked attention is checked
+against, bpe_train is the from-scratch recount merge learning is checked
 against, replay_segment is the one rank-jumping segmentation is checked
 against, count_bigrams gives the pair counts the hand-counted BPE tests
 check, and grad_check is the one finite-difference checker; the small tape
@@ -12,13 +13,11 @@ against. clip_out_of_place and adam_out_of_place are the copying optimizer
 step the in-place clip_gradients and adam_step are checked against.
 """
 
-from collections import Counter
-
 import numpy as np
 
 from sawreader import autodiff as ad
 from sawreader.autodiff import Tensor
-from sawreader.bpe import MergeTable, _merge_symbols, _pair_occurrences
+from sawreader.bpe import MergeTable
 from sawreader.neural import GruParams, ParamStore, bigru_batch, bigru_finals
 from sawreader.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, loss_node
 
@@ -238,13 +237,63 @@ def gated_attention_2d(h_doc: Tensor, h_query: Tensor) -> tuple[Tensor, Tensor]:
     return ad.mul(h_doc, beta), alpha
 
 
+# The BPE oracle shares no helper with the library: it recounts every pair
+# of every word before each merge, with no incremental bookkeeping.
+
+
+def bpe_pairs(symbols) -> dict[tuple[str, str], int]:
+    """Non-overlapping adjacent pair counts of one word, left to right."""
+    totals: dict[tuple[str, str], int] = {}
+    last_at = -2
+    last_pair = None
+    for i in range(len(symbols) - 1):
+        pair = (symbols[i], symbols[i + 1])
+        # an occurrence overlapping one just counted is not counted again
+        if i - 1 == last_at and pair == last_pair:
+            continue
+        totals[pair] = totals.get(pair, 0) + 1
+        last_at, last_pair = i, pair
+    return totals
+
+
+def bpe_merge(symbols, pair) -> list[str]:
+    """Fuse each (left, right) occurrence, greedy left to right."""
+    out = []
+    i = 0
+    while i < len(symbols):
+        if i + 1 < len(symbols) and (symbols[i], symbols[i + 1]) == pair:
+            out.append(symbols[i] + symbols[i + 1])
+            i += 2
+        else:
+            out.append(symbols[i])
+            i += 1
+    return out
+
+
+def bpe_train(counts: dict[str, int], num_merges: int) -> list[tuple[str, str]]:
+    """Merge pairs in rank order: at each step, recount every word and take
+    the most frequent pair, smallest first on ties; stop when none is left."""
+    segs = {word: list(word) for word in counts}
+    rules = []
+    for _ in range(num_merges):
+        totals = count_bigrams(segs, counts)
+        if not totals:
+            break
+        best = min(totals, key=lambda p: (-totals[p], p))
+        if totals[best] < 1:
+            break
+        segs = {word: bpe_merge(symbols, best) for word, symbols in segs.items()}
+        rules.append(best)
+    return rules
+
+
 def replay_segment(word: str, table: MergeTable) -> tuple[str, ...]:
     """Split a word into characters, then replay every merge in rank order."""
     symbols = list(word)
     for rule in table.rules:
         if len(symbols) < 2:
             break
-        symbols = _merge_symbols(symbols, (rule.left, rule.right))
+        symbols = bpe_merge(symbols, (rule.left, rule.right))
     return tuple(symbols)
 
 
@@ -252,14 +301,14 @@ def count_bigrams(
     segmentations: dict[str, list[str]], counts: dict[str, int]
 ) -> dict[tuple[str, str], int]:
     """Count-weighted pair counts over a segmentation state."""
-    totals: Counter = Counter()
+    totals: dict[tuple[str, str], int] = {}
     for word, count in counts.items():
         symbols = segmentations[word]
         if not symbols:
             raise ValueError(f"word {word!r} has an empty segmentation")
-        for pair, n in _pair_occurrences(symbols).items():
-            totals[pair] += n * count
-    return dict(totals)
+        for pair, n in bpe_pairs(symbols).items():
+            totals[pair] = totals.get(pair, 0) + n * count
+    return totals
 
 
 def grad_enabled() -> bool:

@@ -34,7 +34,7 @@ from sawreader.training import (
 )
 from sawreader.vocab import index_subwords
 
-from oracles import global_norm, grad_check, random_guess_accuracy
+from oracles import bpe_train, global_norm, grad_check, random_guess_accuracy
 
 
 def _report(capsys, num: int, ok: bool, detail: str) -> None:
@@ -42,50 +42,6 @@ def _report(capsys, num: int, ok: bool, detail: str) -> None:
     with capsys.disabled():
         print(f"\n[{verdict}] criterion-{num}: {detail}")
     assert ok, f"criterion-{num}: {detail}"
-
-
-# --- brute-force merge-learning oracle (recounts every pair at every step) ---
-
-
-def _oracle_pair_counts(segmented):
-    totals: dict[tuple[str, str], int] = {}
-    for symbols, count in segmented:
-        last_at = -2
-        last_pair = None
-        for i in range(len(symbols) - 1):
-            pair = (symbols[i], symbols[i + 1])
-            # an occurrence overlapping one just counted is not counted again
-            if i - 1 == last_at and pair == last_pair:
-                continue
-            totals[pair] = totals.get(pair, 0) + count
-            last_at, last_pair = i, pair
-    return totals
-
-
-def _oracle_apply(symbols, pair):
-    out = []
-    i = 0
-    while i < len(symbols):
-        if i + 1 < len(symbols) and (symbols[i], symbols[i + 1]) == pair:
-            out.append(symbols[i] + symbols[i + 1])
-            i += 2
-        else:
-            out.append(symbols[i])
-            i += 1
-    return out
-
-
-def _oracle_train(word_counts: dict[str, int], num_merges: int):
-    segmented = [(list(word), count) for word, count in word_counts.items()]
-    rules = []
-    for _ in range(num_merges):
-        totals = _oracle_pair_counts(segmented)
-        if not totals:
-            break
-        best = min(totals, key=lambda p: (-totals[p], p))
-        rules.append(best)
-        segmented = [(_oracle_apply(s, best), c) for s, c in segmented]
-    return rules
 
 
 def _random_corpus(rng) -> dict[str, int]:
@@ -106,7 +62,7 @@ def test_criterion_1_merge_learning_matches_recount_oracle(capsys):
         counts = _random_corpus(rng)
         num_merges = int(rng.integers(1, 31))
         table = train_bpe(counts, num_merges)
-        expected = _oracle_train(counts, num_merges)
+        expected = bpe_train(counts, num_merges)
         assert [(r.left, r.right) for r in table.rules] == expected
         assert [r.rank for r in table.rules] == list(range(len(expected)))
         matched += 1

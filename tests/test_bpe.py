@@ -1,4 +1,4 @@
-"""Merge learning against a from-scratch recount oracle, plus file formats."""
+"""Merge learning against the from-scratch recount oracle, plus file formats."""
 
 import random
 
@@ -16,60 +16,10 @@ from sawreader.bpe import (
     segment_word,
     train_bpe,
 )
-from sawreader.vocab import Vocabulary, read_word_counts
+from sawreader.synth import SyntheticSpec, generate_synthetic
+from sawreader.vocab import Vocabulary, build_vocab, read_word_counts
 
-from oracles import count_bigrams, replay_segment
-
-
-# ---------------------------------------------------------------- oracle ---
-# Independent reimplementation used only by tests: full recount every step,
-# no incremental bookkeeping, no shared helpers with the library.
-
-
-def _oracle_pairs(symbols):
-    """Non-overlapping adjacent pairs, greedy left to right per pair type."""
-    counts = {}
-    last = {}
-    for i in range(len(symbols) - 1):
-        pair = (symbols[i], symbols[i + 1])
-        if last.get(pair) == i - 1:
-            continue
-        counts[pair] = counts.get(pair, 0) + 1
-        last[pair] = i
-    return counts
-
-
-def _oracle_merge(symbols, pair):
-    out = []
-    i = 0
-    while i < len(symbols):
-        if i + 1 < len(symbols) and (symbols[i], symbols[i + 1]) == pair:
-            out.append(pair[0] + pair[1])
-            i += 2
-        else:
-            out.append(symbols[i])
-            i += 1
-    return out
-
-
-def _oracle_train(entries, num_merges):
-    """Recount every pair over every word at every step."""
-    segs = {w: list(w) for w in entries}
-    rules = []
-    for _ in range(num_merges):
-        totals = {}
-        for word, count in entries.items():
-            for pair, n in _oracle_pairs(segs[word]).items():
-                totals[pair] = totals.get(pair, 0) + n * count
-        if not totals:
-            break
-        best = min(totals, key=lambda p: (-totals[p], p))
-        if totals[best] < 1:
-            break
-        for word in segs:
-            segs[word] = _oracle_merge(segs[word], best)
-        rules.append(best)
-    return rules
+from oracles import bpe_train, count_bigrams, replay_segment
 
 
 # ---------------------------------------------------- hand-counted cases ---
@@ -146,9 +96,51 @@ def test_train_bpe_matches_recount_oracle():
         entries = _random_corpus(rng)
         num_merges = rng.randint(0, 30)
         got = train_bpe(entries, num_merges)
-        expected = _oracle_train(entries, num_merges)
+        expected = bpe_train(entries, num_merges)
         assert [(r.left, r.right) for r in got.rules] == expected
         assert [r.rank for r in got.rules] == list(range(len(expected)))
+
+
+def _rules(table):
+    return [(r.left, r.right) for r in table.rules]
+
+
+def test_train_bpe_matches_oracle_to_exhaustion_on_synthetic_vocab():
+    # the seed-1 train split of the default benchmark corpus: 347 word types
+    # whose merges run out at 434, so the heap is drained of every pair and
+    # passes through many ties and stale entries on the way
+    spec = SyntheticSpec(
+        seed=1, vocab_size=300, entity_pool=40, doc_len_range=(20, 40), num_examples=240
+    )
+    train_set = generate_synthetic(spec)["train"]
+    vocab = build_vocab(seq for ex in train_set for seq in (ex.document, ex.query))
+    assert vocab.size == 347
+    table = train_bpe(vocab.counts, 500)
+    assert table.num_merges == 434
+    assert _rules(table) == bpe_train(vocab.counts, 500)
+    assert [r.rank for r in table.rules] == list(range(434))
+
+
+@st.composite
+def _tie_heavy_corpora(draw):
+    """Few letters, counts of 1 or 2 and runs such as "aaaa", so that many
+    pairs tie and overlapping occurrences are common."""
+    alphabet = "abc"[: draw(st.integers(2, 3))]
+    runs = st.tuples(st.sampled_from(alphabet), st.integers(1, 4))
+    words = st.lists(runs, min_size=1, max_size=4).map(
+        lambda rs: "".join(letter * n for letter, n in rs)[:8]
+    )
+    return draw(st.dictionaries(words, st.sampled_from([1, 2]), min_size=1, max_size=10))
+
+
+@settings(deadline=None)
+@given(corpus=_tie_heavy_corpora(), data=st.data())
+def test_train_bpe_matches_oracle_on_tie_heavy_corpora(corpus, data):
+    exhausted = len(bpe_train(corpus, 10**6))
+    num_merges = data.draw(st.integers(0, exhausted + 3), label="num_merges")
+    table = train_bpe(corpus, num_merges)
+    assert _rules(table) == bpe_train(corpus, num_merges)
+    assert [r.rank for r in table.rules] == list(range(min(num_merges, exhausted)))
 
 
 def test_segmentation_round_trip_random_words():

@@ -95,6 +95,18 @@ def test_bpe_train_and_segment(tmp_path, capsys):
     assert out.replace(" ", "") == "ababab"
 
 
+def test_bpe_train_says_when_it_runs_out_of_pairs(tmp_path, capsys):
+    freqs = tmp_path / "freqs.tsv"
+    freqs.write_text("ab\t3\n")
+    table = tmp_path / "merges.txt"
+    assert main(["bpe-train", "--input", str(freqs), "--merges", "1000", "--out", str(table)]) == 0
+    assert capsys.readouterr().out == (
+        f"wrote {table} (1 of 1000 merges: no pair left to merge)\n"
+    )
+    assert main(["bpe-train", "--input", str(freqs), "--merges", "1", "--out", str(table)]) == 0
+    assert capsys.readouterr().out == f"wrote {table} (1 merges)\n"
+
+
 def test_vocab_command(workspace, capsys):
     tmp_path, data_dir, _ = workspace
     out_dir = tmp_path / "vocab"

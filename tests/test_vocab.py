@@ -32,6 +32,14 @@ def test_build_vocab_rejects_bad_tokens():
         build_vocab([("ok", "")])
     with pytest.raises(ValueError, match="invalid token"):
         build_vocab([("a b",)])
+    # a token type is checked when first seen: the first invalid token in
+    # corpus order is named, even when it recurs after other tokens
+    with pytest.raises(ValueError) as info:
+        build_vocab([("ok", "fine"), ("ok", "b c", "ok"), ("b c", "\t")])
+    assert str(info.value) == "invalid token: 'b c'"
+    with pytest.raises(ValueError) as info:
+        build_vocab([("ok",), ("", "ok")])
+    assert str(info.value) == "invalid token: ''"
 
 
 def test_short_list_keeps_top_fraction():
