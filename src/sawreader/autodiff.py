@@ -3,7 +3,9 @@
 A small tape: every operation returns a Tensor that remembers its parent
 tensors and a closure that pushes the output gradient back to them.
 ``Tensor.backward()`` walks the graph in reverse topological order. Only
-the operations this model actually needs are implemented, all in float64.
+the operations this model needs are implemented, all in float64. Each one
+takes a whole padded batch, so a train step's graph holds no node per
+example: answer_nll is the batch's one loss node.
 """
 
 from __future__ import annotations
@@ -266,44 +268,36 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     return _record(out, (table,), backward)
 
 
-def slice_rows(a: Tensor, i: int, length: int) -> Tensor:
-    """a[i, :length]: the first `length` rows of batch item i."""
-    if a.ndim < 2:
-        raise ValueError("slice_rows: expected a batched tensor")
-    out = Tensor(a.data[i, :length])
-    if not _needs(a):
+def answer_nll(probs: Tensor, rows, positions, floor: float) -> Tensor:
+    """The batch's answer loss: the mean over k of
+    -log(max(sum of probs[rows[k], positions[k]], floor)) for a (B, T)
+    probs. A repeated position counts twice; a row below the floor gets
+    zero gradient. The mean is the sequential sum of the row losses over
+    their count, as mean_of takes it."""
+    if probs.ndim != 2:
+        raise ValueError("answer_nll: expected a (B, T) tensor")
+    if not rows or len(rows) != len(positions):
+        raise ValueError("answer_nll: need one position list per row")
+    idx = [np.asarray(ix, dtype=np.intp) for ix in positions]
+    totals = [float(probs.data[r, ix].sum()) for r, ix in zip(rows, idx)]
+    out = Tensor(sum(float(-np.log(max(t, floor))) for t in totals) / len(totals))
+    if not _needs(probs):
         return out
 
     def backward():
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[i, :length] += out.grad
+        g = out.grad / len(totals)
+        if probs.grad is None:
+            probs.grad = np.zeros_like(probs.data)
+        for r, ix, total in zip(rows, idx, totals):
+            if total >= floor:
+                np.add.at(probs.grad, (r, ix), -g / total)
 
-    return _record(out, (a,), backward)
-
-
-def nll_at(p: Tensor, indices, floor: float) -> Tensor:
-    """-log(max(sum of p at indices, floor)) for a 1-D p; the gradient is
-    zero below the floor. Duplicate indices count twice."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if p.ndim != 1:
-        raise ValueError("nll_at: expected a 1-D tensor")
-    total = float(p.data[idx].sum())
-    out = Tensor(-np.log(max(total, floor)))
-    if not _needs(p):
-        return out
-
-    def backward():
-        if total < floor:
-            return
-        if p.grad is None:
-            p.grad = np.zeros_like(p.data)
-        np.add.at(p.grad, idx, -out.grad / total)
-
-    return _record(out, (p,), backward)
+    return _record(out, (probs,), backward)
 
 
 def mean_of(scalars: list[Tensor]) -> Tensor:
+    """Mean of scalar nodes. Over one-row answer_nll nodes of a batch it
+    equals that batch's answer_nll bit for bit, in value and gradient."""
     if not scalars:
         raise ValueError("mean_of: empty input")
     out = Tensor(sum(float(s.data) for s in scalars) / len(scalars))

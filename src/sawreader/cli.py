@@ -22,7 +22,7 @@ from .harness import SWEEP_AXES, dump_attention, evaluate, new_model, sweep, swe
 from .reader import ReaderConfig, load_model, save_model, top_candidates
 from .synth import SyntheticSpec, generate_synthetic
 from .training import TrainConfig, eval_passes, train
-from .vocab import build_short_list, build_vocab, read_word_counts, save_short_list
+from .vocab import build_short_list, build_vocab, read_word_counts
 
 
 def _seed_override() -> int | None:
@@ -74,7 +74,6 @@ def _cmd_vocab(args) -> int:
     short_list = build_short_list(vocab, args.gamma)
     os.makedirs(args.out, exist_ok=True)
     vocab.save(os.path.join(args.out, "vocab.tsv"))
-    save_short_list(short_list, vocab, os.path.join(args.out, "shortlist.tsv"))
     print(
         f"wrote {args.out}: {vocab.size} words, "
         f"{short_list.kept_count} kept at gamma={args.gamma}"

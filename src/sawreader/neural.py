@@ -6,8 +6,9 @@ large scan runs each direction on its own thread, with the same arithmetic.
 The scan works on the packed layout of pack_padded_sequence and cuDNN:
 rows sorted by length, so each step touches only the rows still running,
 and the backward direction starts each row at its own last token. Padded
-positions are never read. The fused backward is validated against a
-per-step oracle and central finite differences in the test suite.
+positions are never read, and their outputs are zero in both directions.
+The fused backward is validated against a per-step oracle and central
+finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -206,12 +207,9 @@ def _packing(lengths: np.ndarray, steps: int):
     is sorted row j at step s. Returns the flat index into the padded
     (B * steps) positions that each slot reads, as a (2, N_real) array whose
     forward direction reads position s and backward direction position
-    len - 1 - s; counts and starts as lists; and each row's rank in the
-    sorted order.
+    len - 1 - s; and counts and starts as lists.
     """
     order = np.argsort(-lengths, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
     lens = lengths[order]
     live = np.arange(lengths.max(initial=0))[:, None] < lens[None, :]
     step, row = np.nonzero(live)
@@ -219,7 +217,7 @@ def _packing(lengths: np.ndarray, steps: int):
     src = np.stack([base + step, base + lens[row] - 1 - step])
     counts = live.sum(axis=1)
     starts = np.concatenate([[0], np.cumsum(counts)])
-    return src, counts.tolist(), starts.tolist(), rank
+    return src, counts.tolist(), starts.tolist()
 
 
 def _worker():
@@ -344,13 +342,13 @@ def _scan_backward(
 def bigru_batch(
     x: Tensor, lengths: np.ndarray, fwd: GruParams, bwd: GruParams
 ) -> Tensor:
-    """Bidirectional scan over (B, T, in); rows past each length are frozen.
+    """Bidirectional scan over (B, T, in); padded positions output zeros.
 
     Output is (B, T, 2*hidden): forward states then backward states. The
     forward state at a sequence's last real position and the backward state
     at position 0 are that sequence's final states. Past its length a row's
-    forward state stays at its final state and its backward state is zero;
-    padded inputs are never read and get zero gradient.
+    output is zero in both directions; padded inputs are never read and get
+    zero gradient, and a gradient on a padded output goes nowhere.
 
     The scan runs over the packed real positions (see _packing), with the
     states of step s stacked as (directions, counts[s], h) and one batched
@@ -378,7 +376,7 @@ def bigru_batch(
     hid = fwd.hidden_dim
     dirs = (fwd, bwd)
     threaded = batch * hid * hid >= THREADED_MIN_WORK
-    src, counts, starts, rank = _packing(lengths, steps)
+    src, counts, starts = _packing(lengths, steps)
     x_flat = x.data.reshape(-1, in_dim)
     w = [p.W.data for p in dirs]
     b = [p.b.data for p in dirs]
@@ -397,13 +395,11 @@ def bigru_batch(
     needs_grad = ad._needs(*parents)
     if not needs_grad:
         del gates  # only the backward replays it; freed before res is made
-    # back to (B, T, 2h): each forward position past a row's length reads
-    # the row's final slot, and backward padding stays zero
-    last = np.minimum(np.arange(steps)[None, :], lengths[:, None] - 1)
-    res = np.zeros((batch, steps, 2 * hid))
-    res[:, :, :hid] = states[0][np.take(starts, last) + rank[:, None]]
-    res.reshape(-1, 2 * hid)[src[1], hid:] = states[1]
-    out = Tensor(res)
+    # back to (B, T, 2h): each slot to the position it read; padding stays zero
+    res = np.zeros((batch * steps, 2, hid))
+    for d in range(2):
+        res[src[d], d] = states[d]
+    out = Tensor(res.reshape(batch, steps, 2 * hid))
     if not needs_grad:
         return out
 
@@ -413,11 +409,6 @@ def bigru_batch(
         d_state = np.empty((2, src.shape[1], hid))
         for d in range(2):
             np.take(g_out[:, d], src[d], axis=0, out=d_state[d])
-        # a gradient on a frozen forward position reaches the final state
-        pad = np.arange(steps)[None, :] >= lengths[:, None]
-        if pad.any():
-            tail = np.where(pad[..., None], out.grad[..., :hid], 0.0).sum(axis=1)
-            d_state[0][np.take(starts, lengths - 1) + rank] += tail
         # the state each slot after step 0 read: the previous position in its
         # own direction (step 0 read zeros)
         o_flat = out.data.reshape(-1, 2, hid)
@@ -473,18 +464,8 @@ def bigru_finals(h: Tensor, lengths: np.ndarray) -> Tensor:
     return ad._record(out, (h,), backward)
 
 
-def dropout(
-    x: Tensor, rate: float, mode: str, rng: np.random.Generator | None = None
-) -> Tensor:
-    """Inverted dropout: kept entries scaled by 1/(1-rate); identity in eval."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")
-    if mode not in ("train", "eval"):
-        raise ValueError(f"dropout: unknown mode {mode!r}")
-    if mode == "eval" or rate == 0.0:
-        return x
-    if rng is None:
-        raise ValueError("dropout: train mode needs an rng")
+def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout at a rate in (0, 1): kept entries scaled by 1/(1-rate)."""
     keep = rng.random(x.shape) >= rate
     mask = keep.astype(np.float64) / (1.0 - rate)
     return ad.mul(x, Tensor(mask))

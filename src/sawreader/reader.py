@@ -148,7 +148,6 @@ class ReaderModel:
 class AnswerDistribution:
     """Per-position probabilities plus their per-word aggregation."""
 
-    doc_tokens: tuple[str, ...]
     per_position: np.ndarray
     positions: dict[str, list[int]]
     per_candidate: dict[str, float]
@@ -156,8 +155,13 @@ class AnswerDistribution:
 
 @dataclass
 class ForwardPass:
+    """One example's result. probs is the batch's (B, Td) answer
+    distribution, shared by every pass of the batch, and row is this
+    example's row of it; dist reads the row's real positions."""
+
     example: ClozeExample
-    p: Tensor
+    probs: Tensor
+    row: int
     dist: AnswerDistribution
     alphas: list[np.ndarray] | None
 
@@ -168,7 +172,7 @@ def build_distribution(p: np.ndarray, doc_tokens: tuple[str, ...]) -> AnswerDist
         positions.setdefault(token, []).append(i)
     p = np.asarray(p, dtype=np.float64)
     per_candidate = {w: float(p[ix].sum()) for w, ix in positions.items()}
-    return AnswerDistribution(tuple(doc_tokens), p.copy(), positions, per_candidate)
+    return AnswerDistribution(p.copy(), positions, per_candidate)
 
 
 def top_candidates(dist: AnswerDistribution, k: int) -> list[str]:
@@ -317,15 +321,15 @@ def forward_batch(
     for layer_i, layer in enumerate(model.layers, start=1):
         d_in, q_in = doc_in, x_query
         if layer_i > 1 and mode == "train" and cfg.dropout > 0:
-            d_in = neural.dropout(d_in, cfg.dropout, mode, rng)
-            q_in = neural.dropout(q_in, cfg.dropout, mode, rng)
+            d_in = neural.dropout(d_in, cfg.dropout, rng)
+            q_in = neural.dropout(q_in, cfg.dropout, rng)
         h_doc = neural.bigru_batch(d_in, d_lens, layer.doc_fwd, layer.doc_bwd)
         h_query = neural.bigru_batch(q_in, q_lens, layer.query_fwd, layer.query_bwd)
         doc_in, alpha = gated_attention_layer(h_doc, h_query, q_lens)
         alphas.append(alpha)
 
     # answer pointer: each row's placeholder state scores every document
-    # position, and one softmax over the real positions gives p
+    # position, and one softmax over the real positions gives probs
     batch, t_query, width = h_query.shape
     t_doc = doc_in.shape[1]
     rows = np.arange(batch) * t_query + [ex.placeholder_position for ex in examples]
@@ -338,14 +342,13 @@ def forward_batch(
     results: list[ForwardPass] = []
     for i, ex in enumerate(examples):
         d_len, q_len = int(d_lens[i]), int(q_lens[i])
-        p = ad.slice_rows(probs, i, d_len)
-        dist = build_distribution(p.data, ex.document)
+        dist = build_distribution(probs.data[i, :d_len], ex.document)
         ex_alphas = (
             [a.data[i, :d_len, :q_len].copy() for a in alphas]
             if collect_attention
             else None
         )
-        results.append(ForwardPass(ex, p, dist, ex_alphas))
+        results.append(ForwardPass(ex, probs, i, dist, ex_alphas))
     return results
 
 

@@ -51,15 +51,27 @@ class AdamState:
         self.t = 0
 
 
-def loss_node(pass_result, answer_word: str) -> Tensor:
-    """Negative log of the answer's aggregated probability, floored."""
-    positions = pass_result.dist.positions.get(answer_word)
-    if not positions:
-        raise ValueError(
-            f"unanswerable example {pass_result.example.id!r}: "
-            f"answer {answer_word!r} does not occur in the document"
-        )
-    return ad.nll_at(pass_result.p, positions, LOSS_FLOOR)
+def batch_loss(passes: list[ForwardPass], answer_words: list[str]) -> Tensor:
+    """Mean over the passes of the negative log of each answer's aggregated
+    probability, floored: one tape node on the batch's shared probs."""
+    positions = []
+    for fp, word in zip(passes, answer_words, strict=True):
+        if fp.probs is not passes[0].probs:
+            raise ValueError("batch_loss: passes come from different batches")
+        ix = fp.dist.positions.get(word)
+        if not ix:
+            raise ValueError(
+                f"unanswerable example {fp.example.id!r}: "
+                f"answer {word!r} does not occur in the document"
+            )
+        positions.append(ix)
+    rows = [fp.row for fp in passes]
+    return ad.answer_nll(passes[0].probs, rows, positions, LOSS_FLOOR)
+
+
+def loss_node(pass_result: ForwardPass, answer_word: str) -> Tensor:
+    """One example's loss: batch_loss of that pass alone."""
+    return batch_loss([pass_result], [answer_word])
 
 
 def clip_gradients(grads: dict[str, np.ndarray], threshold: float) -> float:
@@ -203,12 +215,11 @@ def train(
             batch = [train_set[int(i)] for i in order[start : start + config.batch_size]]
             try:
                 passes = forward_batch(model, batch, mode="train", rng=dropout_rng)
-                losses = [loss_node(fp, ex.answer) for fp, ex in zip(passes, batch)]
-                batch_loss = ad.mean_of(losses)
-                if not np.isfinite(batch_loss.data):
+                loss = batch_loss(passes, [ex.answer for ex in batch])
+                if not np.isfinite(loss.data):
                     raise ValueError("non-finite loss")
                 model.params.zero_grads()
-                batch_loss.backward()
+                loss.backward()
                 grads = model.params.grads()
                 clip_gradients(grads, CLIP_THRESHOLD)
             except ValueError as err:
@@ -217,7 +228,7 @@ def train(
                 ids = ", ".join(repr(ex.id) for ex in batch)
                 raise ValueError(f"epoch {epoch}, examples {ids}: {err}") from err
             adam_step(model.params, grads, state, lr)
-            total_loss += float(batch_loss.data) * len(batch)
+            total_loss += float(loss.data) * len(batch)
             correct += sum(answer(fp.dist) == ex.answer for fp, ex in zip(passes, batch))
         row = EpochStats(
             epoch=epoch,

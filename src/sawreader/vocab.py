@@ -32,7 +32,8 @@ class Vocabulary:
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            _write_word_counts(fh, self)
+            for word in self.words:
+                fh.write(f"{word}\t{self.counts[word]}\n")
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
@@ -81,11 +82,6 @@ def read_word_counts(path) -> Iterator[tuple[str, str, int]]:
             yield where, word, count
 
 
-def _write_word_counts(fh, vocab: Vocabulary) -> None:
-    for word in vocab.words:
-        fh.write(f"{word}\t{vocab.counts[word]}\n")
-
-
 def build_vocab(corpus: Iterable[Sequence[str]]) -> Vocabulary:
     """Count tokens over an iterable of token sequences."""
     counts: dict[str, int] = {}
@@ -110,9 +106,8 @@ def build_vocab(corpus: Iterable[Sequence[str]]) -> Vocabulary:
 class ShortList:
     """Kept words with their ranks; everything else maps to unk_index."""
 
-    def __init__(self, kept: Sequence[str], gamma: float):
+    def __init__(self, kept: Sequence[str]):
         self.kept: tuple[str, ...] = tuple(kept)
-        self.gamma = gamma
         self._index = {w: i for i, w in enumerate(self.kept)}
 
     @property
@@ -136,7 +131,7 @@ def build_short_list(vocab: Vocabulary, gamma: float) -> ShortList:
         raise ValueError(f"invalid filter ratio: {gamma}")
     # tiny epsilon guards float artifacts like 0.3 * 10 = 2.9999...
     kept_n = max(1, math.floor(gamma * vocab.size + 1e-12))
-    return ShortList(vocab.words[:kept_n], gamma)
+    return ShortList(vocab.words[:kept_n])
 
 
 def index_subwords(
@@ -145,11 +140,3 @@ def index_subwords(
     """Subword indices from the original spelling, short list membership aside."""
     seg = segment_word(word, table)
     return tuple(subwords.lookup(unit) for unit in seg.subwords)
-
-
-def save_short_list(short_list: ShortList, vocab: Vocabulary, path) -> None:
-    """Vocabulary lines prefixed with the filter ratio header."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"#gamma: {short_list.gamma!r}\n")
-        _write_word_counts(fh, vocab)
-

@@ -149,6 +149,22 @@ def slice1d(a: Tensor, start: int, stop: int) -> Tensor:
     return ad._record(out, (a,), backward)
 
 
+def slice_rows(a: Tensor, i: int, length: int) -> Tensor:
+    """a[i, :length]: the first `length` rows of batch item i."""
+    if a.ndim < 2:
+        raise ValueError("slice_rows: expected a batched tensor")
+    out = Tensor(a.data[i, :length])
+    if not ad._needs(a):
+        return out
+
+    def backward():
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[i, :length] += out.grad
+
+    return ad._record(out, (a,), backward)
+
+
 def sigmoid(a: Tensor) -> Tensor:
     # exp(-|x|) is in (0, 1], so neither branch can overflow
     t = np.exp(-np.abs(a.data))
@@ -221,7 +237,7 @@ def bigru(seq, fwd: GruParams, bwd: GruParams):
     x3 = ad.reshape(seq, (1, steps, seq.shape[1]))
     lengths = np.array([steps], dtype=np.intp)
     h3 = bigru_batch(x3, lengths, fwd, bwd)
-    outputs = ad.slice_rows(h3, 0, steps)
+    outputs = slice_rows(h3, 0, steps)
     finals = take_row(bigru_finals(h3, lengths), 0)
     hid = fwd.hidden_dim
     return outputs, (slice1d(finals, 0, hid), slice1d(finals, hid, 2 * hid))

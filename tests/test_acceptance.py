@@ -175,7 +175,9 @@ def test_criterion_4_probability_and_attention_normalization(capsys):
     for batch_start in range(0, len(examples), 32):
         chunk = examples[batch_start : batch_start + 32]
         for fp in forward_batch(model, chunk, mode="eval", collect_attention=True):
-            worst_position = max(worst_position, abs(float(fp.p.data.sum()) - 1.0))
+            worst_position = max(
+                worst_position, abs(float(fp.dist.per_position.sum()) - 1.0)
+            )
             worst_candidate = max(
                 worst_candidate, abs(sum(fp.dist.per_candidate.values()) - 1.0)
             )

@@ -14,6 +14,7 @@ from oracles import (
     scale,
     sigmoid,
     slice1d,
+    slice_rows,
     stack_rows,
     sub,
     sum_at,
@@ -222,11 +223,11 @@ def test_slice_rows_grads():
     rng = np.random.default_rng(111)
     a = _leaf(rng, 2, 4, 3)
     w = rng.standard_normal(6)
-    objective = lambda: weighted_sum(ad.slice_rows(a, 1, 2), w)
+    objective = lambda: weighted_sum(slice_rows(a, 1, 2), w)
     assert grad_check(objective, [a], eps=EPS) < TOL
     m = _leaf(rng, 3, 5)
     w2 = rng.standard_normal(2)
-    objective = lambda: weighted_sum(ad.slice_rows(m, 2, 2), w2)
+    objective = lambda: weighted_sum(slice_rows(m, 2, 2), w2)
     assert grad_check(objective, [m], eps=EPS) < TOL
 
 
@@ -251,23 +252,60 @@ def test_log_floored_gradient_and_floor():
     assert below.grad is None or below.grad == 0.0
 
 
-def test_nll_at_matches_composition_and_finite_differences():
-    # the answer word occurs at positions 0, 2 and 3
-    p = Tensor(np.array([0.1, 0.3, 0.2, 0.15, 0.25]), requires_grad=True)
-    positions = [0, 2, 3]
-    out = ad.nll_at(p, positions, 1e-12)
-    ref = neg(log_floored(sum_at(p, positions), 1e-12))
-    assert float(out.data) == float(ref.data) == pytest.approx(-np.log(0.45))
-    assert grad_check(lambda: ad.nll_at(p, positions, 1e-12), [p], eps=EPS) < TOL
-    p.grad = None
+def _composed_nll(p, rows, positions):
+    """answer_nll's oracle: the mean of each row's own -log(floored sum)."""
+    return ad.mean_of(
+        [
+            neg(log_floored(sum_at(take_row(p, r), ix), 1e-12))
+            for r, ix in zip(rows, positions)
+        ]
+    )
+
+
+def test_answer_nll_matches_composition_and_finite_differences():
+    # row 0's answer occurs at positions 0 and 2; row 1 lists position 3
+    # twice, which counts its probability twice
+    p = Tensor(
+        np.array([[0.1, 0.3, 0.2, 0.15, 0.25], [0.3, 0.1, 0.2, 0.15, 0.25]]),
+        requires_grad=True,
+    )
+    rows, positions = [0, 1], [[0, 2], [3, 3]]
+    out = ad.answer_nll(p, rows, positions, 1e-12)
+    ref = _composed_nll(p, rows, positions)
+    assert float(out.data) == float(ref.data) == pytest.approx(-np.log(0.3))
     out.backward()
-    assert np.allclose(p.grad, [-1 / 0.45, 0.0, -1 / 0.45, -1 / 0.45, 0.0], rtol=1e-14)
-    # below the floor the value is -log(floor) and the gradient is zero
-    tiny = Tensor(np.array([1e-30, 0.5, 1e-30]), requires_grad=True)
-    out = ad.nll_at(tiny, [0, 2], 1e-12)
-    assert float(out.data) == pytest.approx(-np.log(1e-12))
+    got, p.grad = p.grad, None
+    ref.backward()
+    assert np.array_equal(got, p.grad)
+    assert np.allclose(
+        got,
+        [[-0.5 / 0.3, 0.0, -0.5 / 0.3, 0.0, 0.0], [0.0, 0.0, 0.0, -1 / 0.3, 0.0]],
+        rtol=1e-14,
+    )
+    objective = lambda: ad.answer_nll(p, rows, positions, 1e-12)
+    assert grad_check(objective, [p], eps=EPS) < TOL
+    # past numpy's 8-wide pairwise block the mean still sums row by row
+    rng = np.random.default_rng(112)
+    big = Tensor(rng.dirichlet(np.ones(5), size=12), requires_grad=True)
+    rows = list(range(12))
+    positions = [sorted(rng.choice(5, 2, replace=False)) for _ in rows]
+    out = ad.answer_nll(big, rows, positions, 1e-12)
+    ref = _composed_nll(big, rows, positions)
+    assert float(out.data) == float(ref.data)
     out.backward()
-    assert tiny.grad is None or not tiny.grad.any()
+    got, big.grad = big.grad, None
+    ref.backward()
+    assert np.array_equal(got, big.grad)
+    # below the floor a row's loss is -log(floor) and its gradient is zero
+    tiny = Tensor(np.array([[1e-30, 0.5, 1e-30], [0.2, 0.5, 0.3]]), requires_grad=True)
+    out = ad.answer_nll(tiny, [0, 1], [[0, 2], [1]], 1e-12)
+    assert float(out.data) == pytest.approx((-np.log(1e-12) - np.log(0.5)) / 2)
+    out.backward()
+    assert np.array_equal(tiny.grad, [[0.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+    with pytest.raises(ValueError, match="one position list per row"):
+        ad.answer_nll(p, [0, 1], [[0]], 1e-12)
+    with pytest.raises(ValueError, match=r"\(B, T\)"):
+        ad.answer_nll(Tensor(np.ones(3)), [0], [[0]], 1e-12)
 
 
 def test_mean_of_grads():

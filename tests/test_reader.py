@@ -29,8 +29,8 @@ from sawreader.reader import (
     top_candidates,
 )
 from sawreader.synth import SyntheticSpec, generate_synthetic
-from sawreader.training import loss_node
-from sawreader.vocab import index_subwords, save_short_list
+from sawreader.training import batch_loss, loss_node
+from sawreader.vocab import index_subwords
 
 from oracles import gated_attention_2d, grad_check, weighted_sum
 
@@ -274,8 +274,9 @@ def test_forward_batch_equals_solo_passes(data):
         assert answer(fp.dist) == answer(alone.dist)
 
 
-def test_train_forward_tape_grows_by_one_slice_per_example(monkeypatch):
-    # the batch stays one graph: an extra example adds only its own p slice
+def test_train_step_tape_does_not_grow_with_the_batch(monkeypatch):
+    # the batch stays one graph from embedding to loss: an extra example adds
+    # no tape node
     model, pool, _ = _synthetic_reader()
     record = ad._record
     calls = 0
@@ -289,9 +290,12 @@ def test_train_forward_tape_grows_by_one_slice_per_example(monkeypatch):
     nodes = {}
     for n in (1, 8):
         calls = 0
-        forward_batch(model, pool[:n], mode="train", rng=np.random.default_rng(0))
+        passes = forward_batch(
+            model, pool[:n], mode="train", rng=np.random.default_rng(0)
+        )
+        batch_loss(passes, [ex.answer for ex in pool[:n]])
         nodes[n] = calls
-    assert nodes[8] - nodes[1] <= 7, nodes
+    assert nodes[8] == nodes[1], nodes
 
 
 def test_distribution_aggregates_repeated_words():
@@ -348,7 +352,9 @@ def test_forward_matches_forward_batch():
         solo = [forward_batch(model, [ex])[0] for ex in examples]
         batch = forward_batch(model, examples)
     for fp_solo, fp_batch in zip(solo, batch):
-        assert np.allclose(fp_solo.p.data, fp_batch.p.data, atol=1e-12)
+        assert np.allclose(
+            fp_solo.dist.per_position, fp_batch.dist.per_position, atol=1e-12
+        )
         assert answer(fp_solo.dist) == answer(fp_batch.dist)
 
 
@@ -357,7 +363,7 @@ def test_forward_normalization_and_attention_shapes():
     ex = _examples()[0]
     with ad.no_grad():
         fp = forward_batch(model, [ex], collect_attention=True)[0]
-    assert fp.p.data.sum() == pytest.approx(1.0, abs=1e-12)
+    assert fp.dist.per_position.sum() == pytest.approx(1.0, abs=1e-12)
     assert len(fp.alphas) == 2
     for alpha in fp.alphas:
         assert alpha.shape == (len(ex.document), len(ex.query))
@@ -397,12 +403,14 @@ def test_dropout_applies_only_past_first_layer():
 def test_train_mode_dropout_changes_outputs_eval_does_not():
     model = _model(num_layers=2)
     ex = _examples()[0]
+
+    def per_position(**kwargs):
+        return forward_batch(model, [ex], **kwargs)[0].dist.per_position
+
     with ad.no_grad():
-        eval_a = forward_batch(model, [ex])[0].p.data
-        eval_b = forward_batch(model, [ex])[0].p.data
-        rng_1, rng_2 = np.random.default_rng(1), np.random.default_rng(2)
-        train_a = forward_batch(model, [ex], mode="train", rng=rng_1)[0].p.data
-        train_b = forward_batch(model, [ex], mode="train", rng=rng_2)[0].p.data
+        eval_a, eval_b = per_position(), per_position()
+        train_a = per_position(mode="train", rng=np.random.default_rng(1))
+        train_b = per_position(mode="train", rng=np.random.default_rng(2))
     assert np.array_equal(eval_a, eval_b)
     assert not np.array_equal(train_a, train_b)
 
@@ -439,7 +447,7 @@ def test_checkpoint_round_trip(tmp_path):
     for name, t in model.params.items():
         assert np.array_equal(loaded.params[name].data, t.data), name
     for fp_a, fp_b in zip(before, after):
-        assert np.array_equal(fp_a.p.data, fp_b.p.data)
+        assert np.array_equal(fp_a.dist.per_position, fp_b.dist.per_position)
         assert answer(fp_a.dist) == answer(fp_b.dist)
 
 
@@ -490,7 +498,6 @@ def test_checkpoint_refits_short_list_from_vocab(tmp_path):
     assert not (ckpt / "shortlist.tsv").exists()
     loaded = load_model(ckpt)
     assert loaded.short_list.kept == model.short_list.kept
-    assert loaded.short_list.gamma == model.short_list.gamma
 
 
 def test_load_model_ignores_older_shortlist_file(tmp_path):
@@ -500,11 +507,11 @@ def test_load_model_ignores_older_shortlist_file(tmp_path):
     new_ckpt, old_ckpt = tmp_path / "new", tmp_path / "old"
     save_model(model, new_ckpt)
     save_model(model, old_ckpt)
-    save_short_list(model.short_list, model.vocab, old_ckpt / "shortlist.tsv")
+    vocab_lines = (old_ckpt / "vocab.tsv").read_text()
+    (old_ckpt / "shortlist.tsv").write_text("#gamma: 0.4\n" + vocab_lines)
     (old_ckpt / "subwords.tsv").write_text("".join(u + "\n" for u in model.subwords.units))
     new, old = load_model(new_ckpt), load_model(old_ckpt)
-    assert old.short_list.kept == new.short_list.kept
-    assert old.short_list.gamma == new.short_list.gamma
+    assert old.short_list.kept == new.short_list.kept == model.short_list.kept
     assert old.subwords.units == new.subwords.units
     for name, t in new.params.items():
         assert np.array_equal(old.params[name].data, t.data)
@@ -513,7 +520,7 @@ def test_load_model_ignores_older_shortlist_file(tmp_path):
         for fp_new, fp_old in zip(
             forward_batch(new, examples), forward_batch(old, examples)
         ):
-            assert np.array_equal(fp_new.p.data, fp_old.p.data)
+            assert np.array_equal(fp_new.dist.per_position, fp_old.dist.per_position)
 
 
 def test_load_model_builds_from_shapes_and_draws_nothing(tmp_path, monkeypatch):

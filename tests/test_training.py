@@ -27,6 +27,7 @@ from sawreader.training import (
     TrainConfig,
     TrainHistory,
     adam_step,
+    batch_loss,
     clip_gradients,
     eval_passes,
     loss_node,
@@ -208,7 +209,7 @@ def test_loss_is_negative_log_answer_mass():
     ex = examples[0]
     with ad.no_grad():
         fp = forward_batch(model, [ex])[0]
-    mass = sum(fp.p.data[i] for i in fp.dist.positions[ex.answer])
+    mass = sum(fp.dist.per_position[i] for i in fp.dist.positions[ex.answer])
     assert loss(fp, ex.answer) == pytest.approx(-np.log(mass), rel=1e-12)
 
 
@@ -221,13 +222,32 @@ def test_loss_rejects_absent_answer():
 
 
 def test_batch_loss_is_mean_of_example_losses():
+    # the one batched node and the mean of per-example nodes (the objective
+    # the benchmark's gradient check builds) agree bit for bit
     model, examples = _tiny_setup()
+    answers = [ex.answer for ex in examples]
+    results = []
+    for build in (
+        lambda passes: batch_loss(passes, answers),
+        lambda passes: ad.mean_of([loss_node(fp, a) for fp, a in zip(passes, answers)]),
+    ):
+        model.params.zero_grads()
+        objective = build(forward_batch(model, examples))
+        objective.backward()
+        results.append((float(objective.data), model.params.grads()))
+    (value, grads), (value_mean, grads_mean) = results
+    assert value == value_mean
     passes = forward_batch(model, examples)
-    nodes = [loss_node(fp, ex.answer) for fp, ex in zip(passes, examples)]
-    batch = ad.mean_of(nodes)
-    assert float(batch.data) == pytest.approx(
-        np.mean([float(n.data) for n in nodes]), rel=1e-12
-    )
+    per_example = [loss(fp, a) for fp, a in zip(passes, answers)]
+    assert value == pytest.approx(np.mean(per_example), rel=1e-12)
+    for name, g in grads.items():
+        assert np.array_equal(g, grads_mean[name]), name
+    assert any(g.any() for g in grads.values())
+    with pytest.raises(ValueError, match="different batches"):
+        batch_loss(
+            forward_batch(model, examples[:1]) + forward_batch(model, examples[1:2]),
+            answers[:2],
+        )
 
 
 def test_train_validates_inputs():
@@ -267,12 +287,11 @@ def test_backward_frees_graph_without_cyclic_collector():
     gc.disable()
     try:
         passes = forward_batch(model, examples)
-        losses = [loss_node(fp, ex.answer) for fp, ex in zip(passes, examples)]
-        total = ad.mean_of(losses)
+        total = batch_loss(passes, [ex.answer for ex in examples])
         # the array of an intermediate node: the pre-softmax match scores
-        probe = weakref.ref(passes[0].p._parents[0].data)
+        probe = weakref.ref(passes[0].probs._parents[0].data)
         total.backward()
-        del passes, losses, total
+        del passes, total
         assert probe() is None
     finally:
         gc.enable()
@@ -284,7 +303,7 @@ def test_eval_passes_restore_grad_mode_between_yields():
     seen = []
     for fp in eval_passes(model, examples * 20):
         assert grad_enabled()
-        assert fp.p._backward is None
+        assert fp.probs._backward is None
         seen.append(fp.example)
         if len(seen) == 40:
             break

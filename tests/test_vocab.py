@@ -9,7 +9,6 @@ from sawreader.vocab import (
     build_short_list,
     build_vocab,
     index_subwords,
-    save_short_list,
 )
 
 
@@ -145,23 +144,7 @@ def test_vocabulary_rejects_duplicates():
         Vocabulary(["a", "a"], {"a": 2})
 
 
-def test_short_list_round_trip(tmp_path):
-    vocab = build_vocab([tuple("aaabbc")])
-    short = build_short_list(vocab, 2 / 3)
-    path = tmp_path / "shortlist.tsv"
-    save_short_list(short, vocab, path)
-    header, body = path.read_text().split("\n", 1)
-    assert header == f"#gamma: {short.gamma!r}"
-    # the body is vocab.tsv line for line, so vocab plus gamma rebuild the list
-    vocab_path = tmp_path / "vocab.tsv"
-    vocab_path.write_text(body)
-    loaded_vocab = Vocabulary.load(vocab_path)
-    assert loaded_vocab.words == vocab.words
-    gamma = float(header[len("#gamma: ") :])
-    assert build_short_list(loaded_vocab, gamma).kept == short.kept
-
-
 def test_short_list_direct_constructor():
-    short = ShortList(("w1", "w2"), 0.5)
+    short = ShortList(("w1", "w2"))
     assert short.index("w2") == 1
     assert short.unk_index == 2
