@@ -3,7 +3,8 @@
 The BiGRU is one fused tape node for both directions: the batched scan
 runs in numpy, and the hand-derived backward replays the cached gates. A
 large scan runs each direction on its own thread, with the same arithmetic.
-The scan works on the packed layout of pack_padded_sequence and cuDNN:
+It projects its inputs one block of steps at a time, so a scan with no
+graph to record keeps the gates of one block only. The scan works on the packed layout of pack_padded_sequence and cuDNN:
 rows sorted by length, so each step touches only the rows still running,
 and the backward direction starts each row at its own last token. Padded
 positions are never read, and their outputs are zero in both directions.
@@ -29,6 +30,10 @@ INIT_SCALE = 0.05
 THREADED_MIN_WORK = 16 * 128 * 128
 # the name prefix of that one worker thread
 WORKER_NAME = "sawreader-bigru"
+# A scan projects its inputs one block of whole steps at a time, each block
+# at least this many packed rows (see _blocks); README gives the measured
+# choice.
+BLOCK_ROWS = 128
 _worker_pool = None
 _worker_lock = threading.Lock()
 
@@ -220,6 +225,21 @@ def _packing(lengths: np.ndarray, steps: int):
     return src, counts.tolist(), starts.tolist()
 
 
+def _blocks(starts: list[int]) -> list[tuple[int, int]]:
+    """Step ranges [s0, s1) that split the packed slots, starts[s0] up to
+    starts[s1], into blocks of at least BLOCK_ROWS; a shorter tail joins
+    the block before it, and a scan with fewer slots is one block."""
+    steps = len(starts) - 1
+    bounds = [0]
+    for s in range(1, steps + 1):
+        if starts[s] - starts[bounds[-1]] >= BLOCK_ROWS:
+            bounds.append(s)
+    if len(bounds) == 1:
+        bounds.append(steps)
+    bounds[-1] = steps
+    return list(zip(bounds, bounds[1:]))
+
+
 def _worker():
     """The one thread that runs direction 1 of a large scan, made on first use."""
     global _worker_pool
@@ -254,38 +274,54 @@ def _each_direction(run, threaded: bool) -> list:
     return first + future.result()
 
 
-def _scan(x_flat, src, w, b, u_rz, u_cand, counts, starts, gates, states) -> list:
+def _scan(
+    x_flat, src, w, b, u_rz, u_cand, counts, starts, blocks, gates, states, res
+) -> list:
     """Forward recurrence of the directions stacked on the leading axis.
 
     w and b list each direction's W and b; src, u_rz, u_cand, gates and
-    states hold one entry per direction. Fills gates with each step's r, z
-    and candidate state, and states with the new state; returns no results.
+    states hold one entry per direction, and the (B * T, directions, h)
+    output res one column. Each block of steps gathers and projects its
+    inputs; then each step fills its gate rows with r, z and the candidate
+    state and its states rows with the new state, and the block's states
+    go to the positions their slots read. states holds one block. gates
+    holds one block too, or a row for every slot when the backward will
+    replay them. Returns no results.
     """
     hid = u_cand.shape[2]
-    for d in range(len(w)):
-        np.matmul(x_flat[src[d]], w[d].T, out=gates[d])
-        gates[d] += b[d]
+    reuse = gates.shape[1] < starts[-1]
     h = np.zeros((len(w), counts[0], hid))
-    for lo, n in zip(starts, counts):
-        h = h[:, :n]
-        g = gates[:, lo : lo + n]
-        rz = g[..., : 2 * hid]
-        rz += h @ u_rz.transpose(0, 2, 1)
-        # sigmoid(a) = (1 + tanh(a / 2)) / 2: one transcendental ufunc, and
-        # stable at any magnitude
-        rz *= 0.5
-        np.tanh(rz, out=rz)
-        rz += 1.0
-        rz *= 0.5
-        r, z = rz[..., :hid], rz[..., hid:]
-        cand = g[..., 2 * hid :]
-        cand += (r * h) @ u_cand.transpose(0, 2, 1)
-        np.tanh(cand, out=cand)
-        h_new = states[:, lo : lo + n]
-        np.subtract(cand, h, out=h_new)
-        h_new *= z
-        h_new += h
-        h = h_new
+    for s0, s1 in blocks:
+        lo, hi = starts[s0], starts[s1]
+        base = lo if reuse else 0
+        for d in range(len(w)):
+            g_blk = gates[d, lo - base : hi - base]
+            np.matmul(x_flat[src[d, lo:hi]], w[d].T, out=g_blk)
+            g_blk += b[d]
+        for s in range(s0, s1):
+            n, at = counts[s], starts[s]
+            h = h[:, :n]
+            g = gates[:, at - base : at - base + n]
+            rz = g[..., : 2 * hid]
+            rz += h @ u_rz.transpose(0, 2, 1)
+            # sigmoid(a) = (1 + tanh(a / 2)) / 2: one transcendental ufunc,
+            # and stable at any magnitude
+            rz *= 0.5
+            np.tanh(rz, out=rz)
+            rz += 1.0
+            rz *= 0.5
+            r, z = rz[..., :hid], rz[..., hid:]
+            cand = g[..., 2 * hid :]
+            cand += (r * h) @ u_cand.transpose(0, 2, 1)
+            np.tanh(cand, out=cand)
+            h_new = states[:, at - lo : at - lo + n]
+            np.subtract(cand, h, out=h_new)
+            h_new *= z
+            h_new += h
+            h = h_new
+        for d in range(len(w)):
+            res[src[d, lo:hi], d] = states[d, : hi - lo]
+        h = h.copy()  # the next block overwrites states
     return []
 
 
@@ -352,14 +388,17 @@ def bigru_batch(
 
     The scan runs over the packed real positions (see _packing), with the
     states of step s stacked as (directions, counts[s], h) and one batched
-    matmul per gate group. The input projection is one GEMM per direction
-    before the loop, into a (2, N_real, 3h) gate buffer that each step
-    overwrites with its activations r, z and the candidate state; the
-    hand-derived backward replays that buffer and overwrites it with the
-    gate gradients. When a step's work, B * h * h, reaches
-    THREADED_MIN_WORK, each direction's projection, scan and gradient GEMMs
-    run on their own thread; the arithmetic, and so every bit of the
-    results, is the same either way.
+    matmul per gate group. It goes one block of steps at a time (see
+    _blocks): one GEMM per direction projects the block's inputs into a
+    gate buffer that each step overwrites with its activations r, z and
+    the candidate state, and the block's states go straight to the output.
+    With a graph to record, the gate buffer is (2, N_real, 3h), and the
+    hand-derived backward replays it and overwrites it with the gate
+    gradients; with none, every block reuses one block's buffer. Both
+    make the same GEMM calls, so their outputs are equal bit for bit. When
+    a step's work, B * h * h, reaches THREADED_MIN_WORK, each direction's
+    projection, scan and gradient GEMMs run on their own thread; the
+    arithmetic, and so every bit of the results, is the same either way.
     """
     if x.ndim != 3:
         raise ValueError("bigru_batch: expected a (B, T, in) tensor")
@@ -377,28 +416,28 @@ def bigru_batch(
     dirs = (fwd, bwd)
     threaded = batch * hid * hid >= THREADED_MIN_WORK
     src, counts, starts = _packing(lengths, steps)
+    blocks = _blocks(starts)
     x_flat = x.data.reshape(-1, in_dim)
     w = [p.W.data for p in dirs]
     b = [p.b.data for p in dirs]
     u_rz = np.stack([p.U.data[: 2 * hid] for p in dirs])
     u_cand = np.stack([p.U.data[2 * hid :] for p in dirs])
-    gates = np.empty((2, src.shape[1], 3 * hid))
-    states = np.empty((2, src.shape[1], hid))
+    parents = (x, fwd.W, fwd.U, fwd.b, bwd.W, bwd.U, bwd.b)
+    needs_grad = ad._needs(*parents)
+    # only the backward replays every slot's gates
+    rows = max(starts[e] - starts[s] for s, e in blocks)
+    gates = np.empty((2, src.shape[1] if needs_grad else rows, 3 * hid))
+    states = np.empty((2, rows, hid))
+    # (B, T, 2h) once reshaped: each slot's state goes to the position it
+    # read, and padding stays zero
+    res = np.zeros((batch * steps, 2, hid))
     _each_direction(
         lambda ds: _scan(
             x_flat, src[ds], w[ds], b[ds], u_rz[ds], u_cand[ds],
-            counts, starts, gates[ds], states[ds],
+            counts, starts, blocks, gates[ds], states[ds], res[:, ds],
         ),
         threaded,
     )
-    parents = (x, fwd.W, fwd.U, fwd.b, bwd.W, bwd.U, bwd.b)
-    needs_grad = ad._needs(*parents)
-    if not needs_grad:
-        del gates  # only the backward replays it; freed before res is made
-    # back to (B, T, 2h): each slot to the position it read; padding stays zero
-    res = np.zeros((batch * steps, 2, hid))
-    for d in range(2):
-        res[src[d], d] = states[d]
     out = Tensor(res.reshape(batch, steps, 2 * hid))
     if not needs_grad:
         return out

@@ -309,23 +309,27 @@ def forward_batch(
             if token not in distinct:
                 distinct[token] = len(distinct)
     embedded = augment_words(model, list(distinct))
-    x_doc, d_lens = _gather_padded(
+    doc_in, d_lens = _gather_padded(
         embedded, [[distinct[t] for t in ex.document] for ex in examples]
     )
     x_query, q_lens = _gather_padded(
         embedded, [[distinct[t] for t in ex.query] for ex in examples]
     )
-
-    doc_in = x_doc
+    # Each name is dropped once its tensor is spent: with no graph to hold
+    # them, an eval pass keeps one layer's states at a time.
+    del embedded
     alphas: list[Tensor] = []
     for layer_i, layer in enumerate(model.layers, start=1):
         d_in, q_in = doc_in, x_query
         if layer_i > 1 and mode == "train" and cfg.dropout > 0:
             d_in = neural.dropout(d_in, cfg.dropout, rng)
             q_in = neural.dropout(q_in, cfg.dropout, rng)
+        doc_in = h_query = None
         h_doc = neural.bigru_batch(d_in, d_lens, layer.doc_fwd, layer.doc_bwd)
+        del d_in
         h_query = neural.bigru_batch(q_in, q_lens, layer.query_fwd, layer.query_bwd)
         doc_in, alpha = gated_attention_layer(h_doc, h_query, q_lens)
+        del h_doc
         alphas.append(alpha)
 
     # answer pointer: each row's placeholder state scores every document

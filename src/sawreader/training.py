@@ -17,7 +17,7 @@ from .neural import ParamStore
 from .reader import ForwardPass, ReaderModel, answer, forward_batch
 
 LOSS_FLOOR = 1e-12
-EVAL_CHUNK = 32
+EVAL_CHUNK = 64
 CLIP_THRESHOLD = 10.0
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999

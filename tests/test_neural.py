@@ -10,11 +10,12 @@ checked to agree bit for bit.
 import sys
 import threading
 import time
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sawreader import autodiff as ad
@@ -407,6 +408,87 @@ def test_threaded_scan_error_reaches_caller_after_both_directions(
     assert np.array_equal(again[1], expected[1])
     for name in expected[2]:
         assert np.array_equal(again[2][name], expected[2][name]), name
+
+
+@contextmanager
+def _block_rows(rows):
+    """Set the minimum rows of a projection block."""
+    saved = neural.BLOCK_ROWS
+    neural.BLOCK_ROWS = rows
+    try:
+        yield
+    finally:
+        neural.BLOCK_ROWS = saved
+
+
+@pytest.mark.parametrize(
+    "starts, rows, blocks",
+    [
+        # fewer slots than one block: a single block
+        ([0, 3, 5], 8, [(0, 2)]),
+        # every block closes exactly
+        ([0, 4, 8, 12], 4, [(0, 1), (1, 2), (2, 3)]),
+        # a block closes at the first step that reaches the minimum
+        ([0, 4, 8, 11, 13, 15, 16], 5, [(0, 2), (2, 6)]),
+        # the tail (steps 5 on, one slot) joins the block before it
+        ([0, 4, 8, 11, 13, 15, 16], 3, [(0, 1), (1, 2), (2, 3), (3, 6)]),
+    ],
+)
+def test_blocks_split_whole_steps_and_merge_a_short_tail(starts, rows, blocks):
+    with _block_rows(rows):
+        assert neural._blocks(starts) == blocks
+
+
+@st.composite
+def _block_cases(draw):
+    """_path_cases plus a minimum block size small enough to give a scan
+    several blocks."""
+    return draw(_path_cases()) + (draw(st.integers(1, 12)),)
+
+
+@settings(deadline=None, max_examples=30)
+@given(_block_cases())
+# at 8 rows a block: steps 0-1, 2-3, 4-6, and 7-14, where 10-14 are a short
+# tail merged into the block before; hidden 130 over 100 inputs is a shape
+# whose GEMM rows depend on the row count
+@example((np.array([15, 2, 9, 11, 4]), 15, 3, 5, 0, 8))
+@example((np.array([15, 2, 9, 11, 4]), 15, 100, 130, 1, 8))
+def test_no_grad_scan_is_bit_equal_to_recorded_forward(case):
+    # without a graph the scan keeps one block of gates at a time; it must
+    # make the same projections, and so the same states, as the recorded one
+    lengths, steps, in_dim, hid, seed, rows = case
+    rng = np.random.default_rng(seed)
+    fwd, bwd, _ = _random_grus(rng, in_dim, hid)
+    x = Tensor(rng.standard_normal((len(lengths), steps, in_dim)), requires_grad=True)
+    for threaded in (False, True):
+        with _scan_path(threaded), _block_rows(rows):
+            recorded = bigru_batch(x, lengths, fwd, bwd)
+            with ad.no_grad():
+                bare = bigru_batch(x, lengths, fwd, bwd)
+        assert recorded._backward is not None and bare._backward is None
+        assert np.array_equal(bare.data, recorded.data)
+
+
+@pytest.mark.parametrize("threaded", [False, True], ids=["serial", "threaded"])
+def test_no_grad_scan_peaks_below_one_full_gate_buffer(threaded):
+    # 64 rows of 30 to 40 steps at hidden 128, as a doc scan of a 64-example
+    # eval chunk after layer 1
+    rng = np.random.default_rng(40)
+    hid, in_dim = 128, 256
+    fwd, bwd, _ = _random_grus(rng, in_dim, hid)
+    lengths = rng.integers(30, 41, size=64)
+    x = Tensor(rng.standard_normal((64, 40, in_dim)))
+    gate_buffer = 2 * int(lengths.sum()) * 3 * hid * 8
+    with _scan_path(threaded), ad.no_grad():
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            out = bigru_batch(x, lengths, fwd, bwd)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert out.shape == (64, 40, 2 * hid)
+    assert peak - before < gate_buffer
 
 
 def test_bigru_batch_length_validation():

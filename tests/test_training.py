@@ -349,7 +349,7 @@ def test_history_csv_round_trip(tmp_path):
 
 
 def _synthetic_setup():
-    """32 train examples (one EVAL_CHUNK) and 8 valid ones, no dropout."""
+    """32 train examples (within one EVAL_CHUNK) and 8 valid ones, no dropout."""
     splits = generate_synthetic(
         SyntheticSpec(num_examples=40, doc_len_range=(8, 14), seed=3)
     )
@@ -372,7 +372,7 @@ def test_train_acc_is_the_epochs_own_predictions():
     # the parameters an eval pass before the step sees, so train_acc is the
     # eval accuracy of the model as it stood when the epoch began
     train_set, valid_set, reader_cfg = _synthetic_setup()
-    assert len(train_set) == EVAL_CHUNK
+    assert len(train_set) <= EVAL_CHUNK
     kwargs = dict(batch_size=len(train_set), base_lr=0.5, seed=0)
     config = TrainConfig(epochs=2, **kwargs)
     history = train(new_model(train_set, reader_cfg), train_set, valid_set, config)
