@@ -2,10 +2,13 @@
 
 A small tape: every operation returns a Tensor that remembers its parent
 tensors and a closure that pushes the output gradient back to them.
-``Tensor.backward()`` walks the graph in reverse topological order. Only
-the operations this model needs are implemented, all in float64. Each one
-takes a whole padded batch, so a train step's graph holds no node per
-example: answer_nll is the batch's one loss node.
+``Tensor.backward()`` walks the graph in reverse topological order and lets
+go of each node once it has run, so after a walk only leaves (tensors with
+no recorded backward, such as parameters) and the root keep ``.grad``; an
+interior node the caller still holds keeps its ``.data`` but not its
+gradient. Only the operations this model needs are implemented, all in
+float64. Each one takes a whole padded batch, so a train step's graph holds
+no node per example: answer_nll is the batch's one loss node.
 """
 
 from __future__ import annotations
@@ -51,11 +54,14 @@ class Tensor:
         return self.data.ndim
 
     def backward(self) -> None:
-        """Accumulate gradients of this scalar into every reachable parent.
+        """Accumulate gradients of this scalar into every reachable leaf.
 
-        A graph is walked once: each node drops its closure and parents as
-        the walk passes it, so the graph is freed by reference counting
-        rather than left as reference cycles for the cyclic collector.
+        A graph is walked once. Each node leaves the walk's order as it
+        runs and drops its closure and parents, and an interior node (one
+        with a recorded backward, other than this root) also drops its
+        .grad, which no later node reads. So each node's gradient and
+        cached arrays are freed by reference counting as soon as nothing
+        left to run needs them, and only leaves and the root keep .grad.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
@@ -75,18 +81,26 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward()
+        while topo:
+            node = topo.pop()
+            step = node._backward
             node._backward = None
             node._parents = ()
+            if step is not None:
+                if node.grad is not None:
+                    step()
+                if node is not self:
+                    node.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 def accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add g into t.grad; the first touch stores a float64 copy of g."""
+    """Add g into t.grad; the first touch stores a float64 copy of g.
+
+    An interior t holds its gradient only until its own backward has run
+    (see Tensor.backward); a leaf keeps it."""
     if t.grad is None:
         t.grad = np.array(g, dtype=np.float64)
     else:

@@ -473,7 +473,12 @@ def bigru_batch(
             dx = np.zeros_like(x_flat)
             for d in range(2):
                 dx[src[d]] += xs[d]
-            ad.accumulate(x, dx.reshape(x.shape))
+            # freshly built, so a first touch takes it as is, with no copy
+            dx = dx.reshape(x.shape)
+            if x.grad is None:
+                x.grad = dx
+            else:
+                ad.accumulate(x, dx)
 
     return ad._record(out, parents, backward)
 
@@ -504,7 +509,20 @@ def bigru_finals(h: Tensor, lengths: np.ndarray) -> Tensor:
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout at a rate in (0, 1): kept entries scaled by 1/(1-rate)."""
+    """Inverted dropout at a rate in (0, 1): kept entries scaled by 1/(1-rate).
+
+    One tape node that keeps its boolean keep-mask, one byte per entry,
+    and builds the float mask keep * scale again in the backward. That
+    mask has the same bits as keep.astype(float64) / (1 - rate), so the
+    output and gradient equal a mul by a float64 mask tensor bit for bit.
+    """
     keep = rng.random(x.shape) >= rate
-    mask = keep.astype(np.float64) / (1.0 - rate)
-    return ad.mul(x, Tensor(mask))
+    scale = 1.0 / (1.0 - rate)
+    out = Tensor(x.data * (keep * scale))
+    if not ad._needs(x):
+        return out
+
+    def backward():
+        ad.accumulate(x, out.grad * (keep * scale))
+
+    return ad._record(out, (x,), backward)

@@ -11,7 +11,12 @@ ops and the scalar loss and norm helpers keep the tests short.
 random_guess_accuracy is the chance baseline the accuracy criteria compare
 against. clip_out_of_place and adam_out_of_place are the copying optimizer
 step the in-place clip_gradients and adam_step are checked against.
+dropout_mul is the float64-mask product the dropout node is checked
+against, and traced_memory is the one tracemalloc harness of the memory
+tests.
 """
+
+import tracemalloc
 
 import numpy as np
 
@@ -187,6 +192,11 @@ def tanh(a: Tensor) -> Tensor:
         ad.accumulate(a, out.grad * (1.0 - out.data * out.data))
 
     return ad._record(out, (a,), backward)
+
+
+def dropout_mul(x: Tensor, keep: np.ndarray, rate: float) -> Tensor:
+    """Inverted dropout as a product with a float64 mask tensor."""
+    return ad.mul(x, Tensor(keep.astype(np.float64) / (1.0 - rate)))
 
 
 def gru_step(x: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:
@@ -437,3 +447,26 @@ def grad_check(
                 denom = max(abs(a_flat[j]), abs(numeric), floor)
                 worst = max(worst, abs(a_flat[j] - numeric) / denom)
     return worst
+
+
+def traced_memory(*stages):
+    """Run the stages in turn under one tracemalloc session, each called
+    with the result of the one before it (the first with no argument).
+
+    Returns the last stage's result and, per stage, (live, peak): the bytes
+    traced when the stage returned and at their highest while it ran, both
+    over the bytes traced before the first stage began.
+    """
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        args, sizes = (), []
+        for stage in stages:
+            tracemalloc.reset_peak()
+            result = stage(*args)
+            live, peak = tracemalloc.get_traced_memory()
+            sizes.append((live - base, peak - base))
+            args = (result,)
+    finally:
+        tracemalloc.stop()
+    return result, sizes

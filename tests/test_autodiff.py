@@ -5,6 +5,7 @@ import pytest
 
 from sawreader import autodiff as ad
 from sawreader.autodiff import Tensor
+from sawreader.neural import ParamStore
 
 from oracles import (
     grad_check,
@@ -357,3 +358,34 @@ def test_grad_accumulates_across_backward_calls():
     scale(x, 3.0).backward()
     scale(x, 3.0).backward()
     assert x.grad == pytest.approx(6.0)
+
+
+def test_backward_keeps_grads_of_leaves_and_root_only():
+    rng = np.random.default_rng(121)
+    w = ParamStore().add("w", rng.standard_normal((3, 4)))
+    x = _leaf(rng, 3, 4)
+    weights = rng.standard_normal(12)
+    held = {}
+
+    def objective():
+        h = ad.mul(x, w)
+        # a diamond: h feeds two consumers whose outputs meet again, and
+        # add(both, both) hands one gradient to the same parent twice
+        both = ad.add(ad.softmax(h), tanh(h))
+        held.update(h=h, both=both)
+        return weighted_sum(ad.add(both, both), weights)
+
+    out = objective()
+    out.backward()
+    assert out.grad == 1.0
+    assert all(t.grad is None for t in held.values())
+    # the leaves' gradients, derived by hand
+    g = 2.0 * weights.reshape(3, 4)
+    y, t = held["h"].data, np.tanh(held["h"].data)
+    y = np.exp(y - y.max(axis=1, keepdims=True))
+    y /= y.sum(axis=1, keepdims=True)
+    dh = (g - (g * y).sum(axis=1, keepdims=True)) * y + g * (1.0 - t * t)
+    assert np.allclose(x.grad, dh * w.data, rtol=1e-12, atol=1e-15)
+    assert np.allclose(w.grad, dh * x.data, rtol=1e-12, atol=1e-15)
+    analytic = {0: x.grad.copy(), 1: w.grad.copy()}
+    assert grad_check(objective, [x, w], eps=EPS, analytic=analytic) < TOL

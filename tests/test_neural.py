@@ -10,7 +10,6 @@ checked to agree bit for bit.
 import sys
 import threading
 import time
-import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -32,7 +31,17 @@ from sawreader.neural import (
     uniform_init,
 )
 
-from oracles import bigru, grad_check, gru_step, slice_rows, sum_at, take_row
+from oracles import (
+    bigru,
+    dropout_mul,
+    grad_check,
+    gru_step,
+    slice_rows,
+    sum_at,
+    take_row,
+    traced_memory,
+    weighted_sum,
+)
 
 
 def _zero_gru(input_dim, hidden_dim):
@@ -480,15 +489,9 @@ def test_no_grad_scan_peaks_below_one_full_gate_buffer(threaded):
     x = Tensor(rng.standard_normal((64, 40, in_dim)))
     gate_buffer = 2 * int(lengths.sum()) * 3 * hid * 8
     with _scan_path(threaded), ad.no_grad():
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            out = bigru_batch(x, lengths, fwd, bwd)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        out, [(_, peak)] = traced_memory(lambda: bigru_batch(x, lengths, fwd, bwd))
     assert out.shape == (64, 40, 2 * hid)
-    assert peak - before < gate_buffer
+    assert peak < gate_buffer
 
 
 def test_bigru_batch_length_validation():
@@ -539,6 +542,46 @@ def test_dropout_train_statistics():
     assert abs(float(out.data.mean()) - 1.0) < 0.02
     kept = out.data[out.data != 0.0]
     assert np.allclose(kept, 1.0 / 0.7, atol=1e-12)
+
+
+def test_dropout_gradient_matches_finite_differences():
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
+    # weights away from zero keep every kept entry's gradient order one
+    w = rng.uniform(0.5, 2.0, size=60) * rng.choice([-1.0, 1.0], size=60)
+
+    def objective():
+        # a re-seeded generator draws the same mask on every call
+        return weighted_sum(dropout(x, 0.4, np.random.default_rng(5)), w)
+
+    assert grad_check(objective, [x], eps=1e-6) < 1e-7
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.3, 0.5, 0.9])
+def test_dropout_equals_float_mask_product_bit_for_bit(rate):
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.standard_normal((4, 6, 5)), requires_grad=True)
+    w = rng.standard_normal(x.data.size)
+    results = []
+    for op in (
+        lambda: dropout(x, rate, np.random.default_rng(6)),
+        lambda: dropout_mul(x, np.random.default_rng(6).random(x.shape) >= rate, rate),
+    ):
+        x.grad = None
+        out = op()
+        weighted_sum(out, w).backward()
+        results.append((out.data, x.grad))
+    (out, grad), (out_ref, grad_ref) = results
+    assert np.array_equal(out, out_ref)
+    assert np.array_equal(grad, grad_ref)
+
+
+def test_dropout_node_keeps_one_byte_per_entry_beyond_its_output():
+    rng = np.random.default_rng(14)
+    x = Tensor(rng.standard_normal((32, 40, 64)), requires_grad=True)
+    out, [(live, _)] = traced_memory(lambda: dropout(x, 0.5, rng))
+    assert out.requires_grad
+    assert live <= out.data.nbytes + x.data.size + 4096
 
 
 def test_param_store_basics():

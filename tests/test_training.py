@@ -41,6 +41,7 @@ from oracles import (
     global_norm,
     grad_enabled,
     loss,
+    traced_memory,
 )
 
 
@@ -296,6 +297,33 @@ def test_backward_frees_graph_without_cyclic_collector():
     finally:
         gc.enable()
     assert all(t.grad is not None for _, t in model.params.items())
+
+
+@pytest.mark.parametrize("rate", [0.5, 0.0])
+def test_backward_peaks_close_to_the_forward_graph(rate):
+    # each node lets go of its gradient and caches once it has run, so the
+    # walk's peak reads 1.14 of the graph at dropout 0.5 and 1.16 at 0; a
+    # walk that keeps every node until its end reads 1.38 and 1.44
+    splits = generate_synthetic(
+        SyntheticSpec(
+            seed=1, vocab_size=300, entity_pool=40, doc_len_range=(20, 40),
+            num_examples=240,
+        )
+    )
+    config = ReaderConfig(
+        num_layers=3, hidden=32, word_dim=40, subword_dim=20, num_merges=100,
+        dropout=rate,
+    )
+    batch = splits["train"][:16]
+    model = new_model(splits["train"], config, seed=0)
+    rng = np.random.default_rng(0)
+
+    def forward():
+        passes = forward_batch(model, batch, mode="train", rng=rng)
+        return batch_loss(passes, [ex.answer for ex in batch])
+
+    _, [(graph, _), (_, peak)] = traced_memory(forward, lambda loss: loss.backward())
+    assert peak < 1.25 * graph
 
 
 def test_eval_passes_restore_grad_mode_between_yields():
