@@ -1,4 +1,4 @@
-"""GRU recurrences, parameter storage, and dropout.
+"""GRU recurrences and parameter storage.
 
 The BiGRU is one fused tape node for both directions: the batched scan
 runs in numpy, and the hand-derived backward replays the cached gates. A
@@ -8,8 +8,10 @@ graph to record keeps the gates of one block only. The scan works on the packed 
 rows sorted by length, so each step touches only the rows still running,
 and the backward direction starts each row at its own last token. Padded
 positions are never read, and their outputs are zero in both directions.
-The fused backward is validated against a per-step oracle and central
-finite differences in the test suite.
+Input dropout is applied inside the scan, to each block of gathered
+inputs, so no dropped copy of the input is made. The fused backward is
+validated against a per-step oracle and central finite differences in
+the test suite.
 """
 
 from __future__ import annotations
@@ -274,15 +276,31 @@ def _each_direction(run, threaded: bool) -> list:
     return first + future.result()
 
 
+def _gather(x_flat, rows, keep, scale, out=None) -> np.ndarray:
+    """x_flat[rows], with dropout's keep-mask and scale applied when keep
+    is set. Kept entries are multiplied by 1.0 and then by scale, dropped
+    ones by 0.0 and then by scale: the same bits as a product with the
+    float mask keep * scale, without making that mask."""
+    # rows index real positions by construction, so mode="clip" checks
+    # nothing that can fail, and it lets take write straight into out
+    xs = np.take(x_flat, rows, axis=0, out=out, mode="clip")
+    if keep is not None:
+        np.multiply(xs, np.take(keep, rows, axis=0, mode="clip"), out=xs)
+        xs *= scale
+    return xs
+
+
 def _scan(
-    x_flat, src, w, b, u_rz, u_cand, counts, starts, blocks, gates, states, res
+    x_flat, src, w, b, u_rz, u_cand, counts, starts, blocks, gates, states, res,
+    keep, scale,
 ) -> list:
     """Forward recurrence of the directions stacked on the leading axis.
 
     w and b list each direction's W and b; src, u_rz, u_cand, gates and
     states hold one entry per direction, and the (B * T, directions, h)
-    output res one column. Each block of steps gathers and projects its
-    inputs; then each step fills its gate rows with r, z and the candidate
+    output res one column. Each block of steps gathers its inputs (with
+    dropout applied when keep is set, see _gather) and projects them;
+    then each step fills its gate rows with r, z and the candidate
     state and its states rows with the new state, and the block's states
     go to the positions their slots read. states holds one block. gates
     holds one block too, or a row for every slot when the backward will
@@ -296,7 +314,7 @@ def _scan(
         base = lo if reuse else 0
         for d in range(len(w)):
             g_blk = gates[d, lo - base : hi - base]
-            np.matmul(x_flat[src[d, lo:hi]], w[d].T, out=g_blk)
+            np.matmul(_gather(x_flat, src[d, lo:hi], keep, scale), w[d].T, out=g_blk)
             g_blk += b[d]
         for s in range(s0, s1):
             n, at = counts[s], starts[s]
@@ -326,7 +344,8 @@ def _scan(
 
 
 def _scan_backward(
-    x_flat, src, w, u_rz, u_cand, counts, starts, gates, h_prev, d_state, xs, need_dx
+    x_flat, src, w, u_rz, u_cand, counts, starts, gates, h_prev, d_state, xs,
+    need_dx, keep, scale,
 ) -> list:
     """Backward of _scan for the directions stacked on the leading axis.
 
@@ -334,7 +353,7 @@ def _scan_backward(
     slot's gates become its gate pre-activation gradients, and d_state,
     the gradient on each slot's state, ends holding r * h_prev. Returns
     each direction's (dW, dU, db); with need_dx, xs ends holding each
-    direction's input gradient in packed order.
+    direction's input gradient in packed order, before dropout's mask.
     """
     hid = u_cand.shape[2]
     batch = counts[0]
@@ -359,8 +378,9 @@ def _scan_backward(
         r[...] = drh * hp * r * (1.0 - r)
         z[...] = da_z
         dh += g[..., : 2 * hid] @ u_rz
-    # xs takes each direction's gathered inputs, then its input gradient:
-    # one (N_real, in) buffer per direction, made by the caller
+    # xs takes each direction's gathered inputs, as the forward read them,
+    # then its input gradient: one (N_real, in) buffer per direction, made
+    # by the caller
     results = []
     for d in range(len(w)):
         # step 0 read zeros, so only the later slots add to dU
@@ -368,7 +388,7 @@ def _scan_backward(
         du = np.concatenate(
             [da_later[:, : 2 * hid].T @ h_prev[d], da_later[:, 2 * hid :].T @ rh]
         )
-        np.take(x_flat, src[d], axis=0, out=xs[d])
+        _gather(x_flat, src[d], keep, scale, out=xs[d])
         results.append((da.T @ xs[d], du, da.sum(axis=0)))
         if need_dx:
             np.matmul(da, w[d], out=xs[d])
@@ -376,9 +396,22 @@ def _scan_backward(
 
 
 def bigru_batch(
-    x: Tensor, lengths: np.ndarray, fwd: GruParams, bwd: GruParams
+    x: Tensor,
+    lengths: np.ndarray,
+    fwd: GruParams,
+    bwd: GruParams,
+    keep: np.ndarray | None = None,
+    scale: float = 1.0,
 ) -> Tensor:
     """Bidirectional scan over (B, T, in); padded positions output zeros.
+
+    With a boolean keep-mask of x's shape, the scan reads inverted dropout
+    of x instead of x: each entry times keep * scale, where scale is
+    1 / (1 - rate). That equals a scan over the product of x with a
+    float64 mask tensor bit for bit, in the output and in every gradient,
+    but the node keeps only the mask, one byte per entry; each gathered
+    block is masked as the scan reads it, and the backward masks its
+    rebuilt inputs and the input gradient the same way.
 
     Output is (B, T, 2*hidden): forward states then backward states. The
     forward state at a sequence's last real position and the backward state
@@ -412,12 +445,15 @@ def bigru_batch(
     lengths = np.asarray(lengths, dtype=np.intp)
     if lengths.shape != (batch,) or (lengths < 1).any() or (lengths > steps).any():
         raise ValueError("bigru_batch: lengths must be in [1, T] per batch row")
+    if keep is not None and (keep.dtype != np.bool_ or keep.shape != x.shape):
+        raise ValueError("bigru_batch: keep must be a boolean mask of x's shape")
     hid = fwd.hidden_dim
     dirs = (fwd, bwd)
     threaded = batch * hid * hid >= THREADED_MIN_WORK
     src, counts, starts = _packing(lengths, steps)
     blocks = _blocks(starts)
     x_flat = x.data.reshape(-1, in_dim)
+    keep_flat = None if keep is None else keep.reshape(-1, in_dim)
     w = [p.W.data for p in dirs]
     b = [p.b.data for p in dirs]
     u_rz = np.stack([p.U.data[: 2 * hid] for p in dirs])
@@ -435,6 +471,7 @@ def bigru_batch(
         lambda ds: _scan(
             x_flat, src[ds], w[ds], b[ds], u_rz[ds], u_cand[ds],
             counts, starts, blocks, gates[ds], states[ds], res[:, ds],
+            keep_flat, scale,
         ),
         threaded,
     )
@@ -444,22 +481,28 @@ def bigru_batch(
 
     def backward():
         g_out = out.grad.reshape(-1, 2, hid)
-        # gathered straight into their buffers, with no per-direction copies
+        # gathered straight into their buffers, with no per-direction
+        # copies; src indexes real positions by construction, and
+        # mode="clip" lets take write into out without buffering the result
         d_state = np.empty((2, src.shape[1], hid))
         for d in range(2):
-            np.take(g_out[:, d], src[d], axis=0, out=d_state[d])
+            np.take(g_out[:, d], src[d], axis=0, out=d_state[d], mode="clip")
         # the state each slot after step 0 read: the previous position in its
         # own direction (step 0 read zeros)
         o_flat = out.data.reshape(-1, 2, hid)
         h_prev = np.empty((2, src.shape[1] - batch, hid))
         for d, step in enumerate((-1, 1)):
-            np.take(o_flat[:, d], src[d, batch:] + step, axis=0, out=h_prev[d])
+            np.take(
+                o_flat[:, d], src[d, batch:] + step, axis=0, out=h_prev[d],
+                mode="clip",
+            )
         xs = np.empty((2, src.shape[1], in_dim))
         need_dx = x.requires_grad
         per_dir = _each_direction(
             lambda ds: _scan_backward(
                 x_flat, src[ds], w[ds], u_rz[ds], u_cand[ds], counts, starts,
                 gates[ds], h_prev[ds], d_state[ds], xs[ds], need_dx,
+                keep_flat, scale,
             ),
             threaded,
         )
@@ -473,6 +516,11 @@ def bigru_batch(
             dx = np.zeros_like(x_flat)
             for d in range(2):
                 dx[src[d]] += xs[d]
+            del xs
+            if keep is not None:
+                # dropout's backward, in place: the bits of dx * (keep * scale)
+                np.multiply(dx, keep_flat, out=dx)
+                dx *= scale
             # freshly built, so a first touch takes it as is, with no copy
             dx = dx.reshape(x.shape)
             if x.grad is None:
@@ -506,23 +554,3 @@ def bigru_finals(h: Tensor, lengths: np.ndarray) -> Tensor:
         h.grad[rows, 0, hid:] += out.grad[:, hid:]
 
     return ad._record(out, (h,), backward)
-
-
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout at a rate in (0, 1): kept entries scaled by 1/(1-rate).
-
-    One tape node that keeps its boolean keep-mask, one byte per entry,
-    and builds the float mask keep * scale again in the backward. That
-    mask has the same bits as keep.astype(float64) / (1 - rate), so the
-    output and gradient equal a mul by a float64 mask tensor bit for bit.
-    """
-    keep = rng.random(x.shape) >= rate
-    scale = 1.0 / (1.0 - rate)
-    out = Tensor(x.data * (keep * scale))
-    if not ad._needs(x):
-        return out
-
-    def backward():
-        ad.accumulate(x, out.grad * (keep * scale))
-
-    return ad._record(out, (x,), backward)

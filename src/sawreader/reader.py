@@ -245,13 +245,21 @@ def _length_mask(lengths: np.ndarray, width: int) -> np.ndarray:
 
 def gated_attention_layer(
     h_doc: Tensor, h_query: Tensor, q_lens: np.ndarray
-) -> tuple[Tensor, Tensor]:
+) -> tuple[Tensor, np.ndarray]:
     """Per-token query attention followed by the elementwise gate.
 
     Takes padded document states (B, Td, dim), query states (B, Tq, dim)
     and each row's query length; query columns past a row's length get
     exactly zero attention and zero gradient. Returns the gated document
-    states (B, Td, dim) and the attention (B, Td, Tq), whose rows sum to one.
+    states h_doc * beta, where beta = alpha @ h_query, and the attention
+    alpha (B, Td, Tq), whose rows sum to one. alpha is a plain array for
+    inspection: nothing differentiates through it.
+
+    One tape node. It keeps alpha but not beta, which its backward
+    rebuilds with the same matmul, so with the same bits. The backward
+    adds into h_doc and into h_query first the gate's term and then the
+    attention scores' term, as a chain of matmul, transpose, mask add,
+    softmax, matmul and mul would, so the gradients are the same bits too.
     """
     if h_doc.ndim != 3 or h_query.ndim != 3:
         raise ValueError("gated_attention_layer: expected 3-D state batches")
@@ -260,19 +268,56 @@ def gated_attention_layer(
             "gated_attention_layer: state dims differ "
             f"({h_doc.shape[2]} vs {h_query.shape[2]})"
         )
-    batch, t_doc, t_query = h_doc.shape[0], h_doc.shape[1], h_query.shape[1]
+    if h_doc.shape[0] != h_query.shape[0]:
+        raise ValueError("gated_attention_layer: batch sizes differ")
+    batch, t_query = h_doc.shape[0], h_query.shape[1]
     q_lens = np.asarray(q_lens, dtype=np.intp)
     if q_lens.shape != (batch,) or (q_lens < 1).any() or (q_lens > t_query).any():
         raise ValueError(
             "gated_attention_layer: query lengths must be in [1, Tq] per batch row"
         )
-    mask = np.broadcast_to(
-        _length_mask(q_lens, t_query)[:, None, :], (batch, t_doc, t_query)
-    )
-    scores = ad.matmul(h_doc, ad.transpose(h_query))
-    alpha = ad.softmax(ad.add(scores, Tensor(mask)))
-    beta = ad.matmul(alpha, h_query)
-    return ad.mul(h_doc, beta), alpha
+    d, q = h_doc.data, h_query.data
+    # the masked softmax of the scores, computed in the scores' own buffer
+    alpha = d @ np.swapaxes(q, -1, -2)
+    alpha += _length_mask(q_lens, t_query)[:, None, :]
+    if np.isnan(alpha).any():
+        raise ValueError("gated_attention_layer: attention scores contain NaN")
+    alpha -= alpha.max(axis=-1, keepdims=True)
+    np.exp(alpha, out=alpha)
+    alpha /= alpha.sum(axis=-1, keepdims=True)
+    # beta = alpha @ h_query, gated in its own buffer
+    beta = alpha @ q
+    out = Tensor(np.multiply(d, beta, out=beta))
+    if not ad._needs(h_doc, h_query):
+        return out, alpha
+
+    def backward():
+        g = out.grad
+        # the gate's term
+        gated = alpha @ q
+        np.multiply(g, gated, out=gated)
+        if h_doc.requires_grad:
+            if h_doc.grad is None:
+                h_doc.grad = gated  # freshly built: handed over uncopied
+            else:
+                ad.accumulate(h_doc, gated)
+        del gated
+        g_beta = g * d
+        if h_query.requires_grad:
+            ad.accumulate(h_query, np.swapaxes(alpha, -1, -2) @ g_beta)
+        # the scores' term, through the softmax; the mask passes it unchanged
+        g_alpha = g_beta @ np.swapaxes(q, -1, -2)
+        del g_beta
+        dot = (g_alpha * alpha).sum(axis=-1, keepdims=True)
+        g_scores = (g_alpha - dot) * alpha
+        if h_doc.requires_grad:
+            ad.accumulate(h_doc, g_scores @ q)
+        if h_query.requires_grad:
+            ad.accumulate(
+                h_query, np.swapaxes(np.swapaxes(d, -1, -2) @ g_scores, -1, -2)
+            )
+
+    return ad._record(out, (h_doc, h_query), backward), alpha
 
 
 def _validate_example(ex: ClozeExample) -> None:
@@ -318,19 +363,28 @@ def forward_batch(
     # Each name is dropped once its tensor is spent: with no graph to hold
     # them, an eval pass keeps one layer's states at a time.
     del embedded
-    alphas: list[Tensor] = []
+    alphas: list[np.ndarray] = []
+    # inverted dropout on the inputs of layers 2..K, applied by the BiGRU
+    # as it reads them: layer i draws its document mask, then its query mask
+    drop = mode == "train" and cfg.dropout > 0
+    scale = 1.0 / (1.0 - cfg.dropout)
     for layer_i, layer in enumerate(model.layers, start=1):
-        d_in, q_in = doc_in, x_query
-        if layer_i > 1 and mode == "train" and cfg.dropout > 0:
-            d_in = neural.dropout(d_in, cfg.dropout, rng)
-            q_in = neural.dropout(q_in, cfg.dropout, rng)
-        doc_in = h_query = None
-        h_doc = neural.bigru_batch(d_in, d_lens, layer.doc_fwd, layer.doc_bwd)
-        del d_in
-        h_query = neural.bigru_batch(q_in, q_lens, layer.query_fwd, layer.query_bwd)
+        d_keep = q_keep = None
+        if layer_i > 1 and drop:
+            d_keep = rng.random(doc_in.shape) >= cfg.dropout
+            q_keep = rng.random(x_query.shape) >= cfg.dropout
+        h_query = None
+        h_doc = neural.bigru_batch(
+            doc_in, d_lens, layer.doc_fwd, layer.doc_bwd, d_keep, scale
+        )
+        doc_in = None
+        h_query = neural.bigru_batch(
+            x_query, q_lens, layer.query_fwd, layer.query_bwd, q_keep, scale
+        )
         doc_in, alpha = gated_attention_layer(h_doc, h_query, q_lens)
         del h_doc
-        alphas.append(alpha)
+        if collect_attention:
+            alphas.append(alpha)
 
     # answer pointer: each row's placeholder state scores every document
     # position, and one softmax over the real positions gives probs
@@ -348,7 +402,7 @@ def forward_batch(
         d_len, q_len = int(d_lens[i]), int(q_lens[i])
         dist = build_distribution(probs.data[i, :d_len], ex.document)
         ex_alphas = (
-            [a.data[i, :d_len, :q_len].copy() for a in alphas]
+            [a[i, :d_len, :q_len].copy() for a in alphas]
             if collect_attention
             else None
         )

@@ -3,17 +3,18 @@
 The package never calls these. The per-step GRU and single-sequence BiGRU
 are the oracles the fused batched scan is checked against,
 gated_attention_2d is the one the batched masked attention is checked
-against, bpe_train is the from-scratch recount merge learning is checked
-against, replay_segment is the one rank-jumping segmentation is checked
-against, count_bigrams gives the pair counts the hand-counted BPE tests
-check, and grad_check is the one finite-difference checker; the small tape
-ops and the scalar loss and norm helpers keep the tests short.
-random_guess_accuracy is the chance baseline the accuracy criteria compare
-against. clip_out_of_place and adam_out_of_place are the copying optimizer
-step the in-place clip_gradients and adam_step are checked against.
-dropout_mul is the float64-mask product the dropout node is checked
-against, and traced_memory is the one tracemalloc harness of the memory
-tests.
+against, gated_attention_chain is the six-op tape chain the fused
+gated-attention node must equal bit for bit, bpe_train is the
+from-scratch recount merge learning is checked against, replay_segment
+is the one rank-jumping segmentation is checked against, count_bigrams
+gives the pair counts the hand-counted BPE tests check, and grad_check is
+the one finite-difference checker; the small tape ops and the scalar loss
+and norm helpers keep the tests short. random_guess_accuracy is the
+chance baseline the accuracy criteria compare against. clip_out_of_place
+and adam_out_of_place are the copying optimizer step the in-place
+clip_gradients and adam_step are checked against. dropout_mul is the
+float64-mask product the BiGRU's input dropout is checked against, and
+traced_memory is the one tracemalloc harness of the memory tests.
 """
 
 import tracemalloc
@@ -261,6 +262,23 @@ def gated_attention_2d(h_doc: Tensor, h_query: Tensor) -> tuple[Tensor, Tensor]:
     alpha = ad.softmax(scores)
     beta = ad.matmul(alpha, h_query)
     return ad.mul(h_doc, beta), alpha
+
+
+def gated_attention_chain(
+    h_doc: Tensor, h_query: Tensor, q_lens
+) -> tuple[Tensor, Tensor]:
+    """Batched masked gated attention as a chain of six tape ops: scores
+    h_doc @ h_query^T, plus a mask of -inf past each row's query length,
+    softmax, beta = alpha @ h_query, and h_doc * beta. Returns the gated
+    states and the attention's array."""
+    batch, t_doc, t_query = h_doc.shape[0], h_doc.shape[1], h_query.shape[1]
+    q_lens = np.asarray(q_lens, dtype=np.intp)
+    mask = np.where(np.arange(t_query)[None, :] < q_lens[:, None], 0.0, -np.inf)
+    mask = np.broadcast_to(mask[:, None, :], (batch, t_doc, t_query))
+    scores = ad.matmul(h_doc, ad.transpose(h_query))
+    alpha = ad.softmax(ad.add(scores, Tensor(mask)))
+    beta = ad.matmul(alpha, h_query)
+    return ad.mul(h_doc, beta), alpha.data
 
 
 # The BPE oracle shares no helper with the library: it recounts every pair

@@ -1,4 +1,5 @@
-"""GRU semantics, the fused bidirectional scan, dropout, and checkpoints.
+"""GRU semantics, the fused bidirectional scan, its input dropout, and
+checkpoints.
 
 The packed bidirectional scan is checked two independent ways: value-for-value
 against a plain per-step loop built from gru_step, and gradient-for-gradient
@@ -25,7 +26,6 @@ from sawreader.neural import (
     ParamStore,
     bigru_batch,
     bigru_finals,
-    dropout,
     fan_scaled_init,
     init_gru,
     uniform_init,
@@ -532,56 +532,104 @@ def test_bigru_single_sequence_api():
         bigru([], fwd, bwd)
 
 
+def _pass_through_gru(dim):
+    """A direction whose state is tanh of its current input: W reads the
+    input into the candidate gate, U is zero, and a bias of 100 holds the
+    update gate at exactly 1."""
+    store = ParamStore()
+    w = np.zeros((3 * dim, dim))
+    w[2 * dim :] = np.eye(dim)
+    b = np.zeros(3 * dim)
+    b[dim : 2 * dim] = 100.0
+    return GruParams(
+        W=store.add("W", w), U=store.add("U", np.zeros((3 * dim, dim))),
+        b=store.add("b", b),
+    )
+
+
 def test_dropout_train_statistics():
     rng = np.random.default_rng(11)
-    x = Tensor(np.ones((100, 1000)))
-    out = dropout(x, 0.3, rng)
-    zero_frac = float((out.data == 0.0).mean())
+    x = Tensor(np.ones((200, 50, 10)))
+    keep = rng.random(x.shape) >= 0.3
+    gru = _pass_through_gru(10)
+    out = bigru_batch(x, np.full(200, 50), gru, gru, keep, 1.0 / 0.7)
+    # each direction's state is tanh of the dropped input the scan read
+    read = np.arctanh(out.data[..., :10])
+    assert np.array_equal(read == 0.0, ~keep)
+    assert np.allclose(np.arctanh(out.data[..., 10:]), read, atol=1e-12)
+    zero_frac = float((read == 0.0).mean())
     assert abs(zero_frac - 0.3) < 0.02
     # inverted scaling keeps the expectation at 1
-    assert abs(float(out.data.mean()) - 1.0) < 0.02
-    kept = out.data[out.data != 0.0]
-    assert np.allclose(kept, 1.0 / 0.7, atol=1e-12)
+    assert abs(float(read.mean()) - 1.0) < 0.02
+    assert np.allclose(read[keep], 1.0 / 0.7, atol=1e-12)
 
 
 def test_dropout_gradient_matches_finite_differences():
     rng = np.random.default_rng(12)
-    x = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
-    # weights away from zero keep every kept entry's gradient order one
-    w = rng.uniform(0.5, 2.0, size=60) * rng.choice([-1.0, 1.0], size=60)
+    fwd, bwd, store = _random_grus(rng, 5, 3)
+    x = store.add("x", rng.standard_normal((3, 4, 5)))
+    lengths = np.array([4, 2, 3])
+    w = rng.standard_normal(3 * 4 * 6)
 
     def objective():
         # a re-seeded generator draws the same mask on every call
-        return weighted_sum(dropout(x, 0.4, np.random.default_rng(5)), w)
+        keep = np.random.default_rng(5).random(x.shape) >= 0.4
+        return weighted_sum(bigru_batch(x, lengths, fwd, bwd, keep, 1.0 / 0.6), w)
 
-    assert grad_check(objective, [x], eps=1e-6) < 1e-7
+    assert grad_check(objective, store, eps=1e-5) < 1e-6
 
 
 @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5, 0.9])
 def test_dropout_equals_float_mask_product_bit_for_bit(rate):
+    # the scan applies the mask to what it reads; a scan over the dropped
+    # copy made by a product with a float64 mask must give the same bits in
+    # the output, x.grad and every weight gradient, on both paths
     rng = np.random.default_rng(13)
+    fwd, bwd, store = _random_grus(rng, 5, 4)
+    lengths = np.array([6, 2, 5, 6])
+    # padded positions hold noise, which the scan never reads
     x = Tensor(rng.standard_normal((4, 6, 5)), requires_grad=True)
-    w = rng.standard_normal(x.data.size)
-    results = []
-    for op in (
-        lambda: dropout(x, rate, np.random.default_rng(6)),
-        lambda: dropout_mul(x, np.random.default_rng(6).random(x.shape) >= rate, rate),
-    ):
-        x.grad = None
-        out = op()
-        weighted_sum(out, w).backward()
-        results.append((out.data, x.grad))
-    (out, grad), (out_ref, grad_ref) = results
-    assert np.array_equal(out, out_ref)
-    assert np.array_equal(grad, grad_ref)
+    keep = rng.random(x.shape) >= rate
+    w = rng.standard_normal(4 * 6 * 8)
+    for threaded in (False, True):
+        results = []
+        with _scan_path(threaded):
+            for op in (
+                lambda: bigru_batch(x, lengths, fwd, bwd, keep, 1.0 / (1.0 - rate)),
+                lambda: bigru_batch(dropout_mul(x, keep, rate), lengths, fwd, bwd),
+            ):
+                out = op()
+                results.append((out.data, _grads_of(weighted_sum(out, w), store, x)))
+        (out, grads), (out_ref, grads_ref) = results
+        assert np.array_equal(out, out_ref)
+        assert grads.keys() == grads_ref.keys() and len(grads) == 7
+        for name in grads:
+            assert np.array_equal(grads[name], grads_ref[name]), name
 
 
 def test_dropout_node_keeps_one_byte_per_entry_beyond_its_output():
+    # the mask, made inside the traced stage, is all a dropping scan keeps
+    # beyond what the same scan keeps without one
     rng = np.random.default_rng(14)
+    fwd, bwd, _ = _random_grus(rng, 64, 16)
     x = Tensor(rng.standard_normal((32, 40, 64)), requires_grad=True)
-    out, [(live, _)] = traced_memory(lambda: dropout(x, 0.5, rng))
+    lengths = rng.integers(20, 41, size=32)
+    plain, [(live_plain, _)] = traced_memory(lambda: bigru_batch(x, lengths, fwd, bwd))
+    out, [(live, _)] = traced_memory(
+        lambda: bigru_batch(x, lengths, fwd, bwd, rng.random(x.shape) >= 0.5, 2.0)
+    )
     assert out.requires_grad
-    assert live <= out.data.nbytes + x.data.size + 4096
+    assert live <= live_plain + x.data.size + 4096
+
+
+def test_bigru_batch_rejects_a_mask_of_another_shape_or_type():
+    rng = np.random.default_rng(15)
+    fwd, bwd, _ = _random_grus(rng, 2, 2)
+    x = Tensor(np.zeros((2, 3, 2)))
+    lengths = np.array([3, 1])
+    for keep in (np.ones((2, 3, 1), dtype=bool), np.ones((2, 3, 2))):
+        with pytest.raises(ValueError, match="boolean mask of x's shape"):
+            bigru_batch(x, lengths, fwd, bwd, keep, 2.0)
 
 
 def test_param_store_basics():

@@ -32,7 +32,13 @@ from sawreader.synth import SyntheticSpec, generate_synthetic
 from sawreader.training import batch_loss, loss_node
 from sawreader.vocab import index_subwords
 
-from oracles import gated_attention_2d, grad_check, weighted_sum
+from oracles import (
+    gated_attention_2d,
+    gated_attention_chain,
+    grad_check,
+    traced_memory,
+    weighted_sum,
+)
 
 
 def _examples():
@@ -161,15 +167,17 @@ def test_gated_attention_rows_and_gating():
     h_query = Tensor(rng.standard_normal((2, 3, 4)))
     q_lens = np.array([3, 2])
     gated, alpha = gated_attention_layer(h_doc, h_query, q_lens)
-    assert alpha.shape == (2, 5, 3)
-    assert np.allclose(alpha.data.sum(axis=2), 1.0, atol=1e-12)
-    assert np.array_equal(alpha.data[1, :, 2], np.zeros(5))
-    beta = alpha.data @ h_query.data
+    assert isinstance(alpha, np.ndarray) and alpha.shape == (2, 5, 3)
+    assert np.allclose(alpha.sum(axis=2), 1.0, atol=1e-12)
+    assert np.array_equal(alpha[1, :, 2], np.zeros(5))
+    beta = alpha @ h_query.data
     assert np.allclose(gated.data, h_doc.data * beta, atol=1e-12)
     with pytest.raises(ValueError, match="state dims differ"):
         gated_attention_layer(h_doc, Tensor(rng.standard_normal((2, 3, 5))), q_lens)
     with pytest.raises(ValueError, match="3-D"):
         gated_attention_layer(Tensor(np.zeros((5, 4))), h_query, q_lens)
+    with pytest.raises(ValueError, match="batch sizes differ"):
+        gated_attention_layer(h_doc, Tensor(rng.standard_normal((1, 3, 4))), q_lens)
     with pytest.raises(ValueError, match="query lengths"):
         gated_attention_layer(h_doc, h_query, np.array([3, 4]))
 
@@ -202,29 +210,87 @@ def test_batched_attention_matches_per_example_oracle(case):
     real_doc = np.arange(t_doc)[None, :] < d_lens[:, None]
     real_query = np.arange(t_query)[None, :] < q_lens[:, None]
     w_gated = rng.standard_normal((batch, t_doc, dim)) * real_doc[:, :, None]
-    w_alpha = (
-        rng.standard_normal((batch, t_doc, t_query))
-        * real_doc[:, :, None]
-        * real_query[:, None, :]
-    )
+    # alpha is an inspection-only array, so only the gated states carry
+    # gradient; both inputs still get gradient through alpha's scores
     gated, alpha = gated_attention_layer(h_doc, h_query, q_lens)
-    ad.add(weighted_sum(gated, w_gated), weighted_sum(alpha, w_alpha)).backward()
+    weighted_sum(gated, w_gated).backward()
 
     padded_query = np.broadcast_to(~real_query[:, None, :], alpha.shape)
-    assert not alpha.data[padded_query].any()
+    assert not alpha[padded_query].any()
     assert not h_query.grad[~real_query].any()
     for i, (dl, ql) in enumerate(zip(d_lens, q_lens)):
         hd = Tensor(h_doc.data[i, :dl].copy(), requires_grad=True)
         hq = Tensor(h_query.data[i, :ql].copy(), requires_grad=True)
         g_i, a_i = gated_attention_2d(hd, hq)
-        ad.add(
-            weighted_sum(g_i, w_gated[i, :dl]), weighted_sum(a_i, w_alpha[i, :dl, :ql])
-        ).backward()
+        weighted_sum(g_i, w_gated[i, :dl]).backward()
         close = functools.partial(np.testing.assert_allclose, rtol=0, atol=1e-12)
         close(gated.data[i, :dl], g_i.data)
-        close(alpha.data[i, :dl, :ql], a_i.data)
+        close(alpha[i, :dl, :ql], a_i.data)
         close(h_doc.grad[i, :dl], hd.grad)
         close(h_query.grad[i, :ql], hq.grad)
+
+
+@settings(deadline=None, max_examples=40)
+@given(_attention_cases(), st.booleans())
+def test_fused_gate_equals_the_six_op_chain_bit_for_bit(case, read_first):
+    d_lens, q_lens, t_doc, t_query, dim, seed = case
+    rng = np.random.default_rng(seed)
+    batch = len(d_lens)
+    # padded rows and columns hold noise, not zeros
+    doc = rng.standard_normal((batch, t_doc, dim))
+    query = rng.standard_normal((batch, t_query, dim))
+    w = rng.standard_normal(batch * t_doc)
+    w_doc, w_query = rng.standard_normal((2, batch * dim))
+    # as in the answer pointer, one query row per example is read again
+    rows = np.arange(batch) * t_query + rng.integers(0, q_lens)
+    doc_rows = np.arange(batch) * t_doc + rng.integers(0, d_lens)
+    results = []
+    for layer in (gated_attention_layer, gated_attention_chain):
+        h_doc = Tensor(doc, requires_grad=True)
+        h_query = Tensor(query, requires_grad=True)
+        gated, alpha = layer(h_doc, h_query, q_lens)
+        q_t = ad.gather_rows(ad.reshape(h_query, (batch * t_query, dim)), rows)
+        scores = ad.matmul(gated, ad.reshape(q_t, (batch, dim, 1)))
+        objective = weighted_sum(scores, w)
+        if read_first:
+            # reads of both inputs whose gradients land before the layer's,
+            # so the order in which the layer adds its terms shows in the bits
+            d_t = ad.gather_rows(ad.reshape(h_doc, (-1, dim)), doc_rows)
+            q_again = ad.gather_rows(ad.reshape(h_query, (-1, dim)), rows)
+            reads = ad.add(weighted_sum(d_t, w_doc), weighted_sum(q_again, w_query))
+            objective = ad.add(reads, objective)
+        objective.backward()
+        results.append((gated.data, alpha, h_doc.grad, h_query.grad))
+    for fused, chain in zip(*results):
+        assert np.array_equal(fused, chain)
+
+
+def test_fused_gate_gradients_match_finite_differences():
+    rng = np.random.default_rng(23)
+    h_doc = Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True)
+    # the padded query row holds noise, and gets zero gradient
+    h_query = Tensor(rng.standard_normal((2, 3, 3)), requires_grad=True)
+    q_lens = np.array([3, 2])
+    w = rng.standard_normal(2 * 4 * 3)
+
+    def objective():
+        return weighted_sum(gated_attention_layer(h_doc, h_query, q_lens)[0], w)
+
+    assert grad_check(objective, [h_doc, h_query], eps=1e-6) < 1e-7
+    assert not h_query.grad[1, 2].any()
+
+
+def test_fused_gate_keeps_only_its_output_and_alpha():
+    # a layer's graph holds no beta, no scores and no masked scores
+    rng = np.random.default_rng(24)
+    h_doc = Tensor(rng.standard_normal((16, 40, 64)), requires_grad=True)
+    h_query = Tensor(rng.standard_normal((16, 12, 64)), requires_grad=True)
+    q_lens = rng.integers(4, 13, size=16)
+    (gated, alpha), [(live, _)] = traced_memory(
+        lambda: gated_attention_layer(h_doc, h_query, q_lens)
+    )
+    assert gated.requires_grad
+    assert live <= gated.data.nbytes + alpha.nbytes + 4096
 
 
 @functools.lru_cache(maxsize=None)
