@@ -300,6 +300,42 @@ def test_backward_frees_graph_without_cyclic_collector():
     assert all(t.grad is not None for _, t in model.params.items())
 
 
+def test_train_returns_model_without_gradients():
+    model, examples = _tiny_setup()
+    train(model, examples, examples, TrainConfig(batch_size=2, epochs=2))
+    assert [name for name, t in model.params.items() if t.grad is not None] == []
+
+
+def test_step_gradients_are_freed_before_the_next_backward(monkeypatch):
+    model, examples = _tiny_setup()
+    refs: list[weakref.ref] = []
+    checked = []
+    step = training.adam_step
+    backward = ad.Tensor.backward
+
+    def adam_recording(params, grads, state, lr):
+        refs.extend(weakref.ref(g) for g in grads.values())
+        step(params, grads, state, lr)
+
+    def backward_checking(self):
+        alive = sum(r() is not None for r in refs)
+        checked.append((len(refs), alive))
+        refs.clear()
+        backward(self)
+
+    monkeypatch.setattr(training, "adam_step", adam_recording)
+    monkeypatch.setattr(ad.Tensor, "backward", backward_checking)
+    gc.disable()
+    try:
+        train(model, examples, examples, TrainConfig(batch_size=1, epochs=1))
+    finally:
+        gc.enable()
+    n_params = len(model.params.items())
+    # three steps: the first backward has nothing to check, the next two
+    # must find every gradient of the step before freed
+    assert checked == [(0, 0), (n_params, 0), (n_params, 0)]
+
+
 @functools.lru_cache(maxsize=None)
 def _train_step_memory(rate):
     """Traced bytes of one train-mode step at hidden 32 on 16 seed-1
