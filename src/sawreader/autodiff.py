@@ -96,15 +96,29 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def accumulate(t: Tensor, g: np.ndarray) -> None:
+def accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
     """Add g into t.grad; the first touch stores a float64 copy of g.
+
+    With fresh, g is a float64 array the caller has just built and shares
+    with no one, so the first touch takes it as is. Never pass an
+    out.grad, a view of an array anything else holds, or one array meant
+    for two tensors: a later touch adds into the stored array in place.
 
     An interior t holds its gradient only until its own backward has run
     (see Tensor.backward); a leaf keeps it."""
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
+        t.grad = g if fresh else np.array(g, dtype=np.float64)
     else:
         t.grad += g
+
+
+def accumulate_at(t: Tensor, index, g) -> None:
+    """Scatter-add g into t.grad at index, as np.add.at does, so repeated
+    entries of index add up; the first touch starts from zeros, and a
+    later touch adds into the stored array in place."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    np.add.at(t.grad, index, g)
 
 
 def _record(out: Tensor, parents: tuple[Tensor, ...], backward) -> Tensor:
@@ -151,25 +165,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(..., n, m) @ (..., m, k) -> (..., n, k); leading axes must match."""
-    if a.ndim < 2 or a.ndim != b.ndim:
-        raise ValueError(f"matmul: unsupported ranks {a.ndim} @ {b.ndim}")
-    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"matmul: inner dim mismatch {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
-    if not _needs(a, b):
-        return out
-
-    def backward():
-        if a.requires_grad:
-            accumulate(a, out.grad @ np.swapaxes(b.data, -1, -2))
-        if b.requires_grad:
-            accumulate(b, np.swapaxes(a.data, -1, -2) @ out.grad)
-
-    return _record(out, (a, b), backward)
-
-
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Row-wise dense map: (n,d) @ (o,d).T + (o,) -> (n,o)."""
     if x.ndim != 2 or w.ndim != 2 or b.ndim != 1:
@@ -191,46 +186,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             accumulate(b, out.grad.sum(axis=0))
 
     return _record(out, (x, w, b), backward)
-
-
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    if a.ndim < 2:
-        raise ValueError("transpose: expected at least 2 axes")
-    out = Tensor(np.swapaxes(a.data, -1, -2))
-    if not _needs(a):
-        return out
-
-    def backward():
-        accumulate(a, np.swapaxes(out.grad, -1, -2))
-
-    return _record(out, (a,), backward)
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Stable softmax along the last axis of a 1-D, 2-D or 3-D tensor.
-
-    Entries of -inf get probability exactly 0, so adding a mask of 0 and
-    -inf leaves them out; each row needs at least one finite entry. Raises
-    on NaN input rather than propagating it.
-    """
-    if a.ndim not in (1, 2, 3):
-        raise ValueError("softmax: expected a 1-D, 2-D or 3-D tensor")
-    if np.isnan(a.data).any():
-        raise ValueError("softmax: input contains NaN")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    out = Tensor(ex / ex.sum(axis=-1, keepdims=True))
-    if not _needs(a):
-        return out
-
-    def backward():
-        g = out.grad
-        y = out.data
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        accumulate(a, (g - dot) * y)
-
-    return _record(out, (a,), backward)
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -275,9 +230,7 @@ def gather_rows(table: Tensor, indices) -> Tensor:
         return out
 
     def backward():
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, idx, out.grad)
+        accumulate_at(table, idx, out.grad)
 
     return _record(out, (table,), backward)
 
@@ -300,11 +253,9 @@ def answer_nll(probs: Tensor, rows, positions, floor: float) -> Tensor:
 
     def backward():
         g = out.grad / len(totals)
-        if probs.grad is None:
-            probs.grad = np.zeros_like(probs.data)
         for r, ix, total in zip(rows, idx, totals):
             if total >= floor:
-                np.add.at(probs.grad, (r, ix), -g / total)
+                accumulate_at(probs, (r, ix), -g / total)
 
     return _record(out, (probs,), backward)
 

@@ -511,7 +511,7 @@ def bigru_batch(
         for p, grads in zip(dirs, per_dir):
             for t, grad in zip((p.W, p.U, p.b), grads):
                 if t.requires_grad:
-                    ad.accumulate(t, grad)
+                    ad.accumulate(t, grad, fresh=True)
         if need_dx:
             dx = np.zeros_like(x_flat)
             for d in range(2):
@@ -521,12 +521,7 @@ def bigru_batch(
                 # dropout's backward, in place: the bits of dx * (keep * scale)
                 np.multiply(dx, keep_flat, out=dx)
                 dx *= scale
-            # freshly built, so a first touch takes it as is, with no copy
-            dx = dx.reshape(x.shape)
-            if x.grad is None:
-                x.grad = dx
-            else:
-                ad.accumulate(x, dx)
+            ad.accumulate(x, dx.reshape(x.shape), fresh=True)
 
     return ad._record(out, parents, backward)
 
@@ -548,9 +543,7 @@ def bigru_finals(h: Tensor, lengths: np.ndarray) -> Tensor:
         return out
 
     def backward():
-        if h.grad is None:
-            h.grad = np.zeros_like(h.data)
-        h.grad[rows, lengths - 1, :hid] += out.grad[:, :hid]
-        h.grad[rows, 0, hid:] += out.grad[:, hid:]
+        ad.accumulate_at(h, (rows, lengths - 1, slice(None, hid)), out.grad[:, :hid])
+        ad.accumulate_at(h, (rows, 0, slice(hid, None)), out.grad[:, hid:])
 
     return ad._record(out, (h,), backward)

@@ -238,9 +238,22 @@ def augment_words(model: ReaderModel, words: list[str]) -> Tensor:
     return _combine(model.config.integration_op, we, se)
 
 
-def _length_mask(lengths: np.ndarray, width: int) -> np.ndarray:
-    """(B, width): 0 at each row's first `length` columns, -inf past them."""
-    return np.where(np.arange(width)[None, :] < lengths[:, None], 0.0, -np.inf)
+def _masked_softmax(scores: np.ndarray, lengths, node: str, axis: str) -> np.ndarray:
+    """Softmax over the last axis of (B, ..., width) scores, in their own
+    buffer; entries past each row's length get probability exactly 0.
+    Raises, naming the node, on lengths outside [1, width] or NaN scores."""
+    batch, width = scores.shape[0], scores.shape[-1]
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.shape != (batch,) or (lengths < 1).any() or (lengths > width).any():
+        raise ValueError(f"{node}: {axis} lengths must be in [1, {width}] per batch row")
+    mask = np.where(np.arange(width)[None, :] < lengths[:, None], 0.0, -np.inf)
+    scores += mask.reshape((batch,) + (1,) * (scores.ndim - 2) + (width,))
+    if np.isnan(scores).any():
+        raise ValueError(f"{node}: scores contain NaN")
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
 
 
 def gated_attention_layer(
@@ -257,9 +270,13 @@ def gated_attention_layer(
 
     One tape node. It keeps alpha but not beta, which its backward
     rebuilds with the same matmul, so with the same bits. The backward
-    adds into h_doc and into h_query first the gate's term and then the
-    attention scores' term, as a chain of matmul, transpose, mask add,
-    softmax, matmul and mul would, so the gradients are the same bits too.
+    adds into h_doc first the gate's term and then the attention scores'
+    term, as a chain of matmul, transpose, mask add, softmax, matmul and
+    mul would, so the gradients are the same bits too. It sums h_query's
+    two terms in that order before they land, as that chain does when it
+    reads h_query through one node (see tests/oracles.py); then a
+    gradient that lands in h_query first, such as the answer pointer's,
+    gives the same bits either way, since addition commutes.
     """
     if h_doc.ndim != 3 or h_query.ndim != 3:
         raise ValueError("gated_attention_layer: expected 3-D state batches")
@@ -270,21 +287,10 @@ def gated_attention_layer(
         )
     if h_doc.shape[0] != h_query.shape[0]:
         raise ValueError("gated_attention_layer: batch sizes differ")
-    batch, t_query = h_doc.shape[0], h_query.shape[1]
-    q_lens = np.asarray(q_lens, dtype=np.intp)
-    if q_lens.shape != (batch,) or (q_lens < 1).any() or (q_lens > t_query).any():
-        raise ValueError(
-            "gated_attention_layer: query lengths must be in [1, Tq] per batch row"
-        )
     d, q = h_doc.data, h_query.data
-    # the masked softmax of the scores, computed in the scores' own buffer
-    alpha = d @ np.swapaxes(q, -1, -2)
-    alpha += _length_mask(q_lens, t_query)[:, None, :]
-    if np.isnan(alpha).any():
-        raise ValueError("gated_attention_layer: attention scores contain NaN")
-    alpha -= alpha.max(axis=-1, keepdims=True)
-    np.exp(alpha, out=alpha)
-    alpha /= alpha.sum(axis=-1, keepdims=True)
+    alpha = _masked_softmax(
+        d @ np.swapaxes(q, -1, -2), q_lens, "gated_attention_layer", "query"
+    )
     # beta = alpha @ h_query, gated in its own buffer
     beta = alpha @ q
     out = Tensor(np.multiply(d, beta, out=beta))
@@ -297,14 +303,11 @@ def gated_attention_layer(
         gated = alpha @ q
         np.multiply(g, gated, out=gated)
         if h_doc.requires_grad:
-            if h_doc.grad is None:
-                h_doc.grad = gated  # freshly built: handed over uncopied
-            else:
-                ad.accumulate(h_doc, gated)
+            ad.accumulate(h_doc, gated, fresh=True)
         del gated
         g_beta = g * d
         if h_query.requires_grad:
-            ad.accumulate(h_query, np.swapaxes(alpha, -1, -2) @ g_beta)
+            dq = np.swapaxes(alpha, -1, -2) @ g_beta
         # the scores' term, through the softmax; the mask passes it unchanged
         g_alpha = g_beta @ np.swapaxes(q, -1, -2)
         del g_beta
@@ -313,11 +316,59 @@ def gated_attention_layer(
         if h_doc.requires_grad:
             ad.accumulate(h_doc, g_scores @ q)
         if h_query.requires_grad:
-            ad.accumulate(
-                h_query, np.swapaxes(np.swapaxes(d, -1, -2) @ g_scores, -1, -2)
-            )
+            dq += np.swapaxes(np.swapaxes(d, -1, -2) @ g_scores, -1, -2)
+            ad.accumulate(h_query, dq, fresh=True)
 
     return ad._record(out, (h_doc, h_query), backward), alpha
+
+
+def answer_pointer(
+    h_doc: Tensor, h_query: Tensor, placeholders, d_lens: np.ndarray
+) -> Tensor:
+    """The answer pointer over (B, Td, dim) document states: each row's
+    placeholder state in the (B, Tq, dim) query states scores every
+    document position, and one softmax over the row's first d_lens
+    positions gives probs (B, Td). Padded positions get probability
+    exactly 0 and send no gradient.
+
+    One tape node that keeps only probs. Its arithmetic and order are
+    those of a chain of reshape, gather_rows, reshape, matmul, reshape,
+    mask add and softmax, so probs and both input gradients are the same
+    bits; each input takes one freshly built gradient.
+    """
+    if h_doc.ndim != 3 or h_query.ndim != 3 or h_doc.shape[::2] != h_query.shape[::2]:
+        raise ValueError(
+            f"answer_pointer: states {h_doc.shape} and {h_query.shape} do not match"
+        )
+    batch, t_doc, width = h_doc.shape
+    rows = np.arange(batch)
+    pos = np.asarray(placeholders, dtype=np.intp)
+    if pos.shape != (batch,) or (pos < 0).any() or (pos >= h_query.shape[1]).any():
+        raise ValueError("answer_pointer: placeholders must be in [0, Tq) per batch row")
+    q_col = h_query.data[rows, pos].reshape(batch, width, 1)
+    probs = _masked_softmax(
+        (h_doc.data @ q_col).reshape(batch, t_doc), d_lens, "answer_pointer", "document"
+    )
+    out = Tensor(probs)
+    if not ad._needs(h_doc, h_query):
+        return out
+
+    def backward():
+        g, y = out.grad, out.data
+        g_scores = ((g - (g * y).sum(axis=-1, keepdims=True)) * y).reshape(
+            batch, t_doc, 1
+        )
+        q_col = h_query.data[rows, pos].reshape(batch, width, 1)
+        if h_doc.requires_grad:
+            ad.accumulate(h_doc, g_scores @ np.swapaxes(q_col, -1, -2), fresh=True)
+        if h_query.requires_grad:
+            dq = np.zeros_like(h_query.data)
+            dq[rows, pos] += (np.swapaxes(h_doc.data, -1, -2) @ g_scores).reshape(
+                batch, width
+            )
+            ad.accumulate(h_query, dq, fresh=True)
+
+    return ad._record(out, (h_doc, h_query), backward)
 
 
 def _validate_example(ex: ClozeExample) -> None:
@@ -386,15 +437,8 @@ def forward_batch(
         if collect_attention:
             alphas.append(alpha)
 
-    # answer pointer: each row's placeholder state scores every document
-    # position, and one softmax over the real positions gives probs
-    batch, t_query, width = h_query.shape
-    t_doc = doc_in.shape[1]
-    rows = np.arange(batch) * t_query + [ex.placeholder_position for ex in examples]
-    q_t = ad.gather_rows(ad.reshape(h_query, (batch * t_query, width)), rows)
-    scores = ad.matmul(doc_in, ad.reshape(q_t, (batch, width, 1)))
-    probs = ad.softmax(
-        ad.add(ad.reshape(scores, (batch, t_doc)), Tensor(_length_mask(d_lens, t_doc)))
+    probs = answer_pointer(
+        doc_in, h_query, [ex.placeholder_position for ex in examples], d_lens
     )
 
     results: list[ForwardPass] = []

@@ -231,7 +231,8 @@ def train(
                 grads = model.params.grads()
                 clip_gradients(grads, CLIP_THRESHOLD)
             except ValueError as err:
-                # a NaN parameter fails the softmax, a non-finite loss or
+                # a NaN parameter fails the NaN check of the gated
+                # attention or the answer pointer, a non-finite loss or
                 # gradient fails here or in clipping; say which examples
                 ids = ", ".join(repr(ex.id) for ex in batch)
                 raise ValueError(f"epoch {epoch}, examples {ids}: {err}") from err

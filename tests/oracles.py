@@ -1,10 +1,12 @@
 """Test-only tape ops and reference implementations.
 
-The package never calls these. The per-step GRU and single-sequence BiGRU
-are the oracles the fused batched scan is checked against,
+The package never calls these. matmul, transpose and softmax are the
+tape ops the fused nodes stand for. The per-step GRU and single-sequence
+BiGRU are the oracles the fused batched scan is checked against,
 gated_attention_2d is the one the batched masked attention is checked
-against, gated_attention_chain is the six-op tape chain the fused
-gated-attention node must equal bit for bit, bpe_train is the
+against, gated_attention_chain and answer_pointer_chain are the six-op
+and seven-op tape chains the fused gated-attention and answer-pointer
+nodes must equal bit for bit, bpe_train is the
 from-scratch recount merge learning is checked against, replay_segment
 is the one rank-jumping segmentation is checked against, count_bigrams
 gives the pair counts the hand-counted BPE tests check, and grad_check is
@@ -62,6 +64,65 @@ def neg(a: Tensor) -> Tensor:
 
     def backward():
         ad.accumulate(a, -out.grad)
+
+    return ad._record(out, (a,), backward)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """(..., n, m) @ (..., m, k) -> (..., n, k); leading axes must match."""
+    if a.ndim < 2 or a.ndim != b.ndim:
+        raise ValueError(f"matmul: unsupported ranks {a.ndim} @ {b.ndim}")
+    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
+        raise ValueError(f"matmul: inner dim mismatch {a.shape} @ {b.shape}")
+    out = Tensor(a.data @ b.data)
+    if not ad._needs(a, b):
+        return out
+
+    def backward():
+        if a.requires_grad:
+            ad.accumulate(a, out.grad @ np.swapaxes(b.data, -1, -2))
+        if b.requires_grad:
+            ad.accumulate(b, np.swapaxes(a.data, -1, -2) @ out.grad)
+
+    return ad._record(out, (a, b), backward)
+
+
+def transpose(a: Tensor) -> Tensor:
+    """Swap the last two axes."""
+    if a.ndim < 2:
+        raise ValueError("transpose: expected at least 2 axes")
+    out = Tensor(np.swapaxes(a.data, -1, -2))
+    if not ad._needs(a):
+        return out
+
+    def backward():
+        ad.accumulate(a, np.swapaxes(out.grad, -1, -2))
+
+    return ad._record(out, (a,), backward)
+
+
+def softmax(a: Tensor) -> Tensor:
+    """Stable softmax along the last axis of a 1-D, 2-D or 3-D tensor.
+
+    Entries of -inf get probability exactly 0, so adding a mask of 0 and
+    -inf leaves them out; each row needs at least one finite entry. Raises
+    on NaN input rather than propagating it.
+    """
+    if a.ndim not in (1, 2, 3):
+        raise ValueError("softmax: expected a 1-D, 2-D or 3-D tensor")
+    if np.isnan(a.data).any():
+        raise ValueError("softmax: input contains NaN")
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    ex = np.exp(shifted)
+    out = Tensor(ex / ex.sum(axis=-1, keepdims=True))
+    if not ad._needs(a):
+        return out
+
+    def backward():
+        g = out.grad
+        y = out.data
+        dot = (g * y).sum(axis=-1, keepdims=True)
+        ad.accumulate(a, (g - dot) * y)
 
     return ad._record(out, (a,), backward)
 
@@ -218,7 +279,7 @@ def gru_step(x: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:
         return slice1d(v, i * hid, (i + 1) * hid)
 
     def matvec(m: Tensor, v: Tensor) -> Tensor:
-        col = ad.matmul(m, ad.reshape(v, (v.shape[0], 1)))
+        col = matmul(m, ad.reshape(v, (v.shape[0], 1)))
         return ad.reshape(col, (m.shape[0],))
 
     wx = matvec(p.W, x)
@@ -258,9 +319,9 @@ def gated_attention_2d(h_doc: Tensor, h_query: Tensor) -> tuple[Tensor, Tensor]:
     """One example's gated attention over its unpadded (k_doc, dim) and
     (k_query, dim) states: the gated states and the (k_doc, k_query)
     attention."""
-    scores = ad.matmul(h_doc, ad.transpose(h_query))
-    alpha = ad.softmax(scores)
-    beta = ad.matmul(alpha, h_query)
+    scores = matmul(h_doc, transpose(h_query))
+    alpha = softmax(scores)
+    beta = matmul(alpha, h_query)
     return ad.mul(h_doc, beta), alpha
 
 
@@ -270,15 +331,37 @@ def gated_attention_chain(
     """Batched masked gated attention as a chain of six tape ops: scores
     h_doc @ h_query^T, plus a mask of -inf past each row's query length,
     softmax, beta = alpha @ h_query, and h_doc * beta. Returns the gated
-    states and the attention's array."""
+    states and the attention's array.
+
+    h_query is read through one identity reshape node, so its two terms
+    (beta's, then the scores') meet in that node before they land in
+    h_query, as they do in the fused layer."""
     batch, t_doc, t_query = h_doc.shape[0], h_doc.shape[1], h_query.shape[1]
     q_lens = np.asarray(q_lens, dtype=np.intp)
     mask = np.where(np.arange(t_query)[None, :] < q_lens[:, None], 0.0, -np.inf)
     mask = np.broadcast_to(mask[:, None, :], (batch, t_doc, t_query))
-    scores = ad.matmul(h_doc, ad.transpose(h_query))
-    alpha = ad.softmax(ad.add(scores, Tensor(mask)))
-    beta = ad.matmul(alpha, h_query)
+    query = ad.reshape(h_query, h_query.shape)
+    scores = matmul(h_doc, transpose(query))
+    alpha = softmax(ad.add(scores, Tensor(mask)))
+    beta = matmul(alpha, query)
     return ad.mul(h_doc, beta), alpha.data
+
+
+def answer_pointer_chain(
+    h_doc: Tensor, h_query: Tensor, placeholders, d_lens
+) -> Tensor:
+    """The answer pointer as a chain of seven tape ops: reshape h_query to
+    rows, gather each row's placeholder state, reshape it to a column,
+    matmul with h_doc, reshape the scores to (B, Td), add a mask of -inf
+    past each row's document length, and softmax."""
+    batch, t_doc, width = h_doc.shape
+    t_query = h_query.shape[1]
+    d_lens = np.asarray(d_lens, dtype=np.intp)
+    mask = np.where(np.arange(t_doc)[None, :] < d_lens[:, None], 0.0, -np.inf)
+    rows = np.arange(batch) * t_query + np.asarray(placeholders, dtype=np.intp)
+    q_t = ad.gather_rows(ad.reshape(h_query, (batch * t_query, width)), rows)
+    scores = matmul(h_doc, ad.reshape(q_t, (batch, width, 1)))
+    return softmax(ad.add(ad.reshape(scores, (batch, t_doc)), Tensor(mask)))
 
 
 # The BPE oracle shares no helper with the library: it recounts every pair

@@ -1,5 +1,9 @@
 """Every tape operation against central finite differences."""
 
+import inspect
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,16 +15,19 @@ from oracles import (
     grad_check,
     grad_enabled,
     log_floored,
+    matmul,
     neg,
     scale,
     sigmoid,
     slice1d,
     slice_rows,
+    softmax,
     stack_rows,
     sub,
     sum_at,
     take_row,
     tanh,
+    transpose,
     weighted_sum,
 )
 
@@ -59,22 +66,22 @@ def test_matmul_grads_and_errors():
     b = _leaf(rng, 4, 2)
     v = _leaf(rng, 4)
     w6, w3 = rng.standard_normal(6), rng.standard_normal(3)
-    assert grad_check(lambda: weighted_sum(ad.matmul(a, b), w6), [a, b], eps=EPS) < TOL
-    column = lambda: ad.matmul(a, ad.reshape(v, (4, 1)))
+    assert grad_check(lambda: weighted_sum(matmul(a, b), w6), [a, b], eps=EPS) < TOL
+    column = lambda: matmul(a, ad.reshape(v, (4, 1)))
     assert grad_check(lambda: weighted_sum(column(), w3), [a, v], eps=EPS) < TOL
     # batched: one product per leading index, on data of its own
     rng = np.random.default_rng(7)
     a3, b3 = _leaf(rng, 2, 3, 4), _leaf(rng, 2, 4, 2)
     w12 = rng.standard_normal(12)
-    assert grad_check(lambda: weighted_sum(ad.matmul(a3, b3), w12), [a3, b3], eps=EPS) < TOL
+    assert grad_check(lambda: weighted_sum(matmul(a3, b3), w12), [a3, b3], eps=EPS) < TOL
     with pytest.raises(ValueError, match="inner dim"):
-        ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+        matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
     with pytest.raises(ValueError, match="inner dim"):
-        ad.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 2))))
+        matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 2))))
     with pytest.raises(ValueError, match="unsupported ranks"):
-        ad.matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros(4)))
+        matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros(4)))
     with pytest.raises(ValueError, match="unsupported ranks"):
-        ad.matmul(Tensor(np.zeros(3)), Tensor(np.zeros(3)))
+        matmul(Tensor(np.zeros(3)), Tensor(np.zeros(3)))
 
 
 def test_affine_matches_manual_and_grads():
@@ -95,7 +102,7 @@ def test_transpose_grads():
     rng = np.random.default_rng(103)
     a = _leaf(rng, 2, 5)
     w = rng.standard_normal(10)
-    assert grad_check(lambda: weighted_sum(ad.transpose(a), w), [a], eps=EPS) < TOL
+    assert grad_check(lambda: weighted_sum(transpose(a), w), [a], eps=EPS) < TOL
 
 
 def test_sigmoid_values_and_stability():
@@ -117,30 +124,30 @@ def test_sigmoid_tanh_grads():
 
 def test_softmax_known_values():
     # softmax([0, ln 2]) = [1/3, 2/3]
-    y = ad.softmax(Tensor(np.array([0.0, np.log(2.0)])))
+    y = softmax(Tensor(np.array([0.0, np.log(2.0)])))
     assert np.allclose(y.data, [1 / 3, 2 / 3], atol=1e-12)
     # shift invariance keeps large inputs stable
-    y = ad.softmax(Tensor(np.array([1000.0, 1000.0])))
+    y = softmax(Tensor(np.array([1000.0, 1000.0])))
     assert np.allclose(y.data, [0.5, 0.5], atol=1e-12)
 
 
 def test_softmax_rows_and_grads():
     rng = np.random.default_rng(105)
     a = _leaf(rng, 3, 4)
-    y = ad.softmax(a)
+    y = softmax(a)
     assert np.allclose(y.data.sum(axis=1), 1.0, atol=1e-12)
     w12 = rng.standard_normal(12)
-    assert grad_check(lambda: weighted_sum(ad.softmax(a), w12), [a], eps=EPS) < TOL
+    assert grad_check(lambda: weighted_sum(softmax(a), w12), [a], eps=EPS) < TOL
     v = _leaf(rng, 5)
     w5 = rng.standard_normal(5)
-    assert grad_check(lambda: weighted_sum(ad.softmax(v), w5), [v], eps=EPS) < TOL
+    assert grad_check(lambda: weighted_sum(softmax(v), w5), [v], eps=EPS) < TOL
 
 
 def test_softmax_rejects_nan_and_bad_rank():
     with pytest.raises(ValueError, match="NaN"):
-        ad.softmax(Tensor(np.array([1.0, np.nan])))
+        softmax(Tensor(np.array([1.0, np.nan])))
     with pytest.raises(ValueError, match="1-D, 2-D or 3-D"):
-        ad.softmax(Tensor(np.zeros((2, 2, 2, 2))))
+        softmax(Tensor(np.zeros((2, 2, 2, 2))))
 
 
 def test_batched_transpose_softmax_and_masked_entries():
@@ -148,13 +155,13 @@ def test_batched_transpose_softmax_and_masked_entries():
     a = _leaf(rng, 2, 3, 4)
     w24 = rng.standard_normal(24)
     # the gradient of a weighted sum of the transpose is the weights swapped back
-    weighted_sum(ad.transpose(a), w24).backward()
+    weighted_sum(transpose(a), w24).backward()
     assert np.array_equal(a.grad, np.swapaxes(w24.reshape(2, 4, 3), -1, -2))
-    assert grad_check(lambda: weighted_sum(ad.softmax(a), w24), [a], eps=EPS) < TOL
+    assert grad_check(lambda: weighted_sum(softmax(a), w24), [a], eps=EPS) < TOL
     # a -inf entry gets probability exactly 0 and passes back no gradient
     mask = np.zeros((2, 3, 4))
     mask[0, :, 2:] = -np.inf
-    y = ad.softmax(ad.add(a, Tensor(mask)))
+    y = softmax(ad.add(a, Tensor(mask)))
     assert np.array_equal(y.data[0, :, 2:], np.zeros((3, 2)))
     assert np.allclose(y.data.sum(axis=-1), 1.0, atol=1e-12)
     a.grad = None
@@ -371,7 +378,7 @@ def test_backward_keeps_grads_of_leaves_and_root_only():
         h = ad.mul(x, w)
         # a diamond: h feeds two consumers whose outputs meet again, and
         # add(both, both) hands one gradient to the same parent twice
-        both = ad.add(ad.softmax(h), tanh(h))
+        both = ad.add(softmax(h), tanh(h))
         held.update(h=h, both=both)
         return weighted_sum(ad.add(both, both), weights)
 
@@ -389,3 +396,23 @@ def test_backward_keeps_grads_of_leaves_and_root_only():
     assert np.allclose(w.grad, dh * x.data, rtol=1e-12, atol=1e-15)
     analytic = {0: x.grad.copy(), 1: w.grad.copy()}
     assert grad_check(objective, [x, w], eps=EPS, analytic=analytic) < TOL
+
+
+def test_package_tape_ops_all_have_callers():
+    # code only the tests use belongs in tests/oracles.py, not in the
+    # package API: each public name of autodiff is used outside it
+    root = Path(__file__).resolve().parents[1]
+    sources = [
+        p for d in ("src", "bench") for p in (root / d).rglob("*.py")
+        if p.name != "autodiff.py"
+    ]
+    text = "\n".join(p.read_text(encoding="utf-8") for p in sources)
+    public = [
+        name for name, obj in vars(ad).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == ad.__name__
+    ]
+    assert "accumulate" in public and "softmax" not in public
+    unused = [name for name in public if not re.search(rf"\b{name}\b", text)]
+    assert unused == []

@@ -14,11 +14,13 @@ from sawreader.autodiff import Tensor
 from sawreader.bpe import segment_word
 from sawreader.data import PLACEHOLDER, ClozeExample
 from sawreader.harness import build_pipeline, new_model
+from sawreader import reader
 from sawreader.reader import (
     INTEGRATION_OPS,
     ReaderConfig,
     ReaderModel,
     answer,
+    answer_pointer,
     augment_words,
     build_distribution,
     forward_batch,
@@ -33,9 +35,11 @@ from sawreader.training import batch_loss, loss_node
 from sawreader.vocab import index_subwords
 
 from oracles import (
+    answer_pointer_chain,
     gated_attention_2d,
     gated_attention_chain,
     grad_check,
+    matmul,
     traced_memory,
     weighted_sum,
 )
@@ -250,7 +254,7 @@ def test_fused_gate_equals_the_six_op_chain_bit_for_bit(case, read_first):
         h_query = Tensor(query, requires_grad=True)
         gated, alpha = layer(h_doc, h_query, q_lens)
         q_t = ad.gather_rows(ad.reshape(h_query, (batch * t_query, dim)), rows)
-        scores = ad.matmul(gated, ad.reshape(q_t, (batch, dim, 1)))
+        scores = matmul(gated, ad.reshape(q_t, (batch, dim, 1)))
         objective = weighted_sum(scores, w)
         if read_first:
             # reads of both inputs whose gradients land before the layer's,
@@ -291,6 +295,112 @@ def test_fused_gate_keeps_only_its_output_and_alpha():
     )
     assert gated.requires_grad
     assert live <= gated.data.nbytes + alpha.nbytes + 4096
+
+
+@settings(deadline=None, max_examples=40)
+@given(_attention_cases())
+def test_fused_pointer_equals_the_seven_op_chain_bit_for_bit(case):
+    d_lens, _, t_doc, t_query, dim, seed = case
+    rng = np.random.default_rng(seed)
+    batch = len(d_lens)
+    # padded rows hold noise, not zeros, and the placeholder may sit at any
+    # query position
+    doc = rng.standard_normal((batch, t_doc, dim))
+    query = rng.standard_normal((batch, t_query, dim))
+    pos = rng.integers(0, t_query, size=batch)
+    w = rng.standard_normal(batch * t_doc)
+    results = []
+    for pointer in (answer_pointer, answer_pointer_chain):
+        h_doc = Tensor(doc, requires_grad=True)
+        h_query = Tensor(query, requires_grad=True)
+        probs = pointer(h_doc, h_query, pos, d_lens)
+        weighted_sum(probs, w).backward()
+        results.append((probs.data, h_doc.grad, h_query.grad))
+    for fused, chain in zip(*results):
+        assert np.array_equal(fused, chain)
+    # padded positions get no probability and send no gradient, and only
+    # each row's placeholder state gets gradient
+    probs, d_grad, q_grad = results[0]
+    padded = np.arange(t_doc)[None, :] >= d_lens[:, None]
+    assert not probs[padded].any() and not d_grad[padded].any()
+    placeholder = np.zeros((batch, t_query), dtype=bool)
+    placeholder[np.arange(batch), pos] = True
+    assert not q_grad[~placeholder].any()
+
+
+@settings(deadline=None, max_examples=40)
+@given(_attention_cases())
+def test_last_layer_gate_and_pointer_equal_the_op_chains_bit_for_bit(case):
+    # layer K's tail as the reader runs it: the pointer reads the gated
+    # states and the same query states the gate read, and its backward
+    # runs before the gate's
+    d_lens, q_lens, t_doc, t_query, dim, seed = case
+    rng = np.random.default_rng(seed)
+    batch = len(d_lens)
+    doc = rng.standard_normal((batch, t_doc, dim))
+    query = rng.standard_normal((batch, t_query, dim))
+    pos = rng.integers(0, q_lens)
+    w = rng.standard_normal(batch * t_doc)
+    results = []
+    for layer, pointer in (
+        (gated_attention_layer, answer_pointer),
+        (gated_attention_chain, answer_pointer_chain),
+    ):
+        h_doc = Tensor(doc, requires_grad=True)
+        h_query = Tensor(query, requires_grad=True)
+        gated, alpha = layer(h_doc, h_query, q_lens)
+        probs = pointer(gated, h_query, pos, d_lens)
+        weighted_sum(probs, w).backward()
+        results.append((probs.data, alpha, h_doc.grad, h_query.grad))
+    for fused, chain in zip(*results):
+        assert np.array_equal(fused, chain)
+
+
+def test_fused_pointer_gradients_match_finite_differences():
+    rng = np.random.default_rng(25)
+    # padded document rows and query rows hold noise
+    h_doc = Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True)
+    h_query = Tensor(rng.standard_normal((2, 3, 3)), requires_grad=True)
+    pos, d_lens = np.array([2, 0]), np.array([4, 2])
+    w = rng.standard_normal(2 * 4)
+
+    def objective():
+        return weighted_sum(answer_pointer(h_doc, h_query, pos, d_lens), w)
+
+    assert grad_check(objective, [h_doc, h_query], eps=1e-6) < 1e-7
+    assert not h_doc.grad[1, 2:].any()
+    assert not h_query.grad[0, :2].any() and not h_query.grad[1, 1:].any()
+
+
+def test_fused_pointer_names_nan_and_bad_inputs():
+    rng = np.random.default_rng(26)
+    h_doc = rng.standard_normal((2, 4, 3))
+    h_query = Tensor(rng.standard_normal((2, 3, 3)))
+    pos, d_lens = np.array([2, 0]), np.array([4, 2])
+    h_doc[1, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="answer_pointer: scores contain NaN"):
+        answer_pointer(Tensor(h_doc), h_query, pos, d_lens)
+    h_doc[1, 1, 0] = 0.0
+    with pytest.raises(ValueError, match="do not match"):
+        answer_pointer(Tensor(h_doc[:, :, :2]), h_query, pos, d_lens)
+    with pytest.raises(ValueError, match="placeholders"):
+        answer_pointer(Tensor(h_doc), h_query, np.array([3, 0]), d_lens)
+    with pytest.raises(ValueError, match="document lengths"):
+        answer_pointer(Tensor(h_doc), h_query, pos, np.array([5, 2]))
+
+
+def test_fused_pointer_keeps_only_its_output():
+    # the pointer's graph holds no gathered states, scores or masked scores
+    rng = np.random.default_rng(27)
+    h_doc = Tensor(rng.standard_normal((64, 40, 256)), requires_grad=True)
+    h_query = Tensor(rng.standard_normal((64, 12, 256)), requires_grad=True)
+    pos = rng.integers(0, 12, size=64)
+    d_lens = rng.integers(20, 41, size=64)
+    probs, [(live, _)] = traced_memory(
+        lambda: answer_pointer(h_doc, h_query, pos, d_lens)
+    )
+    assert probs.requires_grad
+    assert live <= probs.data.nbytes + 4096
 
 
 @functools.lru_cache(maxsize=None)
@@ -344,15 +454,23 @@ def test_train_step_tape_does_not_grow_with_the_batch(monkeypatch):
     # the batch stays one graph from embedding to loss: an extra example adds
     # no tape node
     model, pool, _ = _synthetic_reader()
-    record = ad._record
+    record, pointer = ad._record, reader.answer_pointer
     calls = 0
+    pointer_nodes = []
 
     def counting(*args):
         nonlocal calls
         calls += 1
         return record(*args)
 
+    def pointer_counting(*args):
+        before = calls
+        probs = pointer(*args)
+        pointer_nodes.append(calls - before)
+        return probs
+
     monkeypatch.setattr(ad, "_record", counting)
+    monkeypatch.setattr(reader, "answer_pointer", pointer_counting)
     nodes = {}
     for n in (1, 8):
         calls = 0
@@ -362,6 +480,11 @@ def test_train_step_tape_does_not_grow_with_the_batch(monkeypatch):
         batch_loss(passes, [ex.answer for ex in pool[:n]])
         nodes[n] = calls
     assert nodes[8] == nodes[1], nodes
+    # the answer pointer is one node, as each layer's gate is; the rest are
+    # 11 from embedding to the padded batches, each layer's two BiGRUs and
+    # its gate, and the loss
+    assert pointer_nodes == [1, 1]
+    assert nodes[1] == 11 + 3 * model.config.num_layers + 1 + 1
 
 
 def test_distribution_aggregates_repeated_words():

@@ -290,7 +290,7 @@ def test_backward_frees_graph_without_cyclic_collector():
     try:
         passes = forward_batch(model, examples)
         total = batch_loss(passes, [ex.answer for ex in examples])
-        # the array of an intermediate node: the pre-softmax match scores
+        # the array of an intermediate node: the last layer's gated states
         probe = weakref.ref(passes[0].probs._parents[0].data)
         total.backward()
         del passes, total
