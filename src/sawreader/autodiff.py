@@ -209,22 +209,12 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     return _record(out, tuple(tensors), backward)
 
 
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = Tensor(a.data.reshape(shape))
-    if not _needs(a):
-        return out
-
-    def backward():
-        accumulate(a, out.grad.reshape(a.shape))
-
-    return _record(out, (a,), backward)
-
-
 def gather_rows(table: Tensor, indices) -> Tensor:
-    """Select rows of a 2-D table; duplicate indices accumulate gradient."""
+    """Rows of a 2-D table for an integer index array of any shape, as an
+    indices.shape + (width,) tensor; duplicate indices accumulate gradient."""
     idx = np.asarray(indices, dtype=np.intp)
-    if table.ndim != 2 or idx.ndim != 1:
-        raise ValueError("gather_rows: expected 2-D table and 1-D indices")
+    if table.ndim != 2:
+        raise ValueError("gather_rows: expected a 2-D table")
     out = Tensor(table.data[idx])
     if not _needs(table):
         return out

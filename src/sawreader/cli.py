@@ -82,10 +82,13 @@ def _cmd_vocab(args) -> int:
 
 
 def _parse_len_range(text: str) -> tuple[int, int]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"doc-len must look like LO:HI, got {text!r}")
-    return int(parts[0]), int(parts[1])
+    try:
+        lo, hi = (int(part) for part in text.split(":"))
+    except ValueError:
+        raise ValueError(
+            f"doc-len must look like LO:HI with integer LO and HI, got {text!r}"
+        ) from None
+    return lo, hi
 
 
 def _cmd_gen_data(args) -> int:

@@ -201,8 +201,7 @@ def _gather_padded(table: Tensor, seqs: list[list[int]]) -> tuple[Tensor, np.nda
     idx = np.zeros((len(seqs), int(lengths.max())), dtype=np.intp)
     for i, seq in enumerate(seqs):
         idx[i, : len(seq)] = seq
-    rows = ad.gather_rows(table, idx.reshape(-1))
-    return ad.reshape(rows, idx.shape + (table.shape[1],)), lengths
+    return ad.gather_rows(table, idx), lengths
 
 
 def subword_encode_batch(model: ReaderModel, words: list[str]) -> Tensor:

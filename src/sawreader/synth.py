@@ -18,7 +18,6 @@ from .data import PLACEHOLDER, ClozeExample
 
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
-_FUNCTION_WORDS = ("the", "a", "and", "near", "with", "then", ".")
 
 
 @dataclass

@@ -1,10 +1,10 @@
 """Test-only tape ops and reference implementations.
 
-The package never calls these. matmul, transpose and softmax are the
-tape ops the fused nodes stand for. The per-step GRU and single-sequence
-BiGRU are the oracles the fused batched scan is checked against,
-gated_attention_2d is the one the batched masked attention is checked
-against, gated_attention_chain and answer_pointer_chain are the six-op
+The package never calls these. matmul, reshape, transpose and softmax
+are the tape ops the fused nodes stand for. The per-step GRU and
+single-sequence BiGRU are the oracles the fused batched scan is checked
+against, gated_attention_2d is the one the batched masked attention is
+checked against, gated_attention_chain and answer_pointer_chain are the six-op
 and seven-op tape chains the fused gated-attention and answer-pointer
 nodes must equal bit for bit, bpe_train is the
 from-scratch recount merge learning is checked against, replay_segment
@@ -87,6 +87,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return ad._record(out, (a, b), backward)
 
 
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    out = Tensor(a.data.reshape(shape))
+    if not ad._needs(a):
+        return out
+
+    def backward():
+        ad.accumulate(a, out.grad.reshape(a.shape))
+
+    return ad._record(out, (a,), backward)
+
+
 def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes."""
     if a.ndim < 2:
@@ -163,7 +174,7 @@ def log_floored(x: Tensor, floor: float = 1e-12) -> Tensor:
 def weighted_sum(t: Tensor, weights) -> Tensor:
     """Collapse any tensor to a scalar with fixed weights; keeps the output
     gradient non-uniform so transposed or misrouted gradients get caught."""
-    flat = t if t.ndim == 1 else ad.reshape(t, (t.data.size,))
+    flat = t if t.ndim == 1 else reshape(t, (t.data.size,))
     w = Tensor(np.asarray(weights, dtype=np.float64).reshape(-1))
     return sum_at(ad.mul(flat, w), np.arange(flat.data.size))
 
@@ -279,8 +290,8 @@ def gru_step(x: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:
         return slice1d(v, i * hid, (i + 1) * hid)
 
     def matvec(m: Tensor, v: Tensor) -> Tensor:
-        col = matmul(m, ad.reshape(v, (v.shape[0], 1)))
-        return ad.reshape(col, (m.shape[0],))
+        col = matmul(m, reshape(v, (v.shape[0], 1)))
+        return reshape(col, (m.shape[0],))
 
     wx = matvec(p.W, x)
     a = ad.add(ad.add(wx, matvec(p.U, h_prev)), p.b)
@@ -306,7 +317,7 @@ def bigru(seq, fwd: GruParams, bwd: GruParams):
     if seq.ndim != 2 or seq.shape[0] == 0:
         raise ValueError("bigru: expected a non-empty (T, in) tensor")
     steps = seq.shape[0]
-    x3 = ad.reshape(seq, (1, steps, seq.shape[1]))
+    x3 = reshape(seq, (1, steps, seq.shape[1]))
     lengths = np.array([steps], dtype=np.intp)
     h3 = bigru_batch(x3, lengths, fwd, bwd)
     outputs = slice_rows(h3, 0, steps)
@@ -340,7 +351,7 @@ def gated_attention_chain(
     q_lens = np.asarray(q_lens, dtype=np.intp)
     mask = np.where(np.arange(t_query)[None, :] < q_lens[:, None], 0.0, -np.inf)
     mask = np.broadcast_to(mask[:, None, :], (batch, t_doc, t_query))
-    query = ad.reshape(h_query, h_query.shape)
+    query = reshape(h_query, h_query.shape)
     scores = matmul(h_doc, transpose(query))
     alpha = softmax(ad.add(scores, Tensor(mask)))
     beta = matmul(alpha, query)
@@ -359,9 +370,9 @@ def answer_pointer_chain(
     d_lens = np.asarray(d_lens, dtype=np.intp)
     mask = np.where(np.arange(t_doc)[None, :] < d_lens[:, None], 0.0, -np.inf)
     rows = np.arange(batch) * t_query + np.asarray(placeholders, dtype=np.intp)
-    q_t = ad.gather_rows(ad.reshape(h_query, (batch * t_query, width)), rows)
-    scores = matmul(h_doc, ad.reshape(q_t, (batch, width, 1)))
-    return softmax(ad.add(ad.reshape(scores, (batch, t_doc)), Tensor(mask)))
+    q_t = ad.gather_rows(reshape(h_query, (batch * t_query, width)), rows)
+    scores = matmul(h_doc, reshape(q_t, (batch, width, 1)))
+    return softmax(ad.add(reshape(scores, (batch, t_doc)), Tensor(mask)))
 
 
 # The BPE oracle shares no helper with the library: it recounts every pair

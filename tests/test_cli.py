@@ -333,9 +333,13 @@ def test_error_paths_exit_one(tmp_path, capsys):
     assert capsys.readouterr().err == "error: freqs.tsv line 2: duplicate word 'ab'\n"
     assert not table.exists()
 
-    rc = main(["gen-data", "--out", str(tmp_path / "g"), "--doc-len", "banana"])
-    assert rc == 1
-    assert "LO:HI" in capsys.readouterr().err
+    for doc_len in ("banana", "a:b", "1.5:20"):
+        rc = main(["gen-data", "--out", str(tmp_path / "g"), "--doc-len", doc_len])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: doc-len must look like LO:HI with integer LO and HI,"
+            f" got {doc_len!r}\n"
+        )
 
 
 def test_per_gate_checkpoint_fails_eval_with_one_error_line(workspace, capsys):

@@ -36,6 +36,7 @@ from oracles import (
     dropout_mul,
     grad_check,
     gru_step,
+    reshape,
     slice_rows,
     sum_at,
     take_row,
@@ -136,7 +137,7 @@ def test_bigru_batch_gradients_match_finite_differences():
 
     def objective():
         out = bigru_batch(x, lengths, fwd, bwd)
-        flat = ad.reshape(out, (out.data.size,))
+        flat = reshape(out, (out.data.size,))
         return sum_at(ad.mul(flat, Tensor(w)), np.arange(flat.data.size))
 
     assert grad_check(objective, store_all, eps=1e-5) < 1e-6
@@ -152,7 +153,7 @@ def test_bigru_batch_input_gradient():
 
     def objective():
         out = bigru_batch(x, lengths, fwd, bwd)
-        flat = ad.reshape(out, (out.data.size,))
+        flat = reshape(out, (out.data.size,))
         return sum_at(ad.mul(flat, Tensor(w)), np.arange(flat.data.size))
 
     assert grad_check(objective, store, eps=1e-5) < 1e-6
@@ -166,7 +167,7 @@ def _fused_and_stepwise(x, lengths, w, fwd, bwd):
     out = bigru_batch(x, lengths, fwd, bwd)
     real = np.arange(w.shape[1])[None, :] < lengths[:, None]
     masked_w = (w * real[:, :, None]).reshape(-1)
-    flat = ad.reshape(out, (out.data.size,))
+    flat = reshape(out, (out.data.size,))
     fused = sum_at(ad.mul(flat, Tensor(masked_w)), np.arange(flat.data.size))
     step = None
     pieces = {}
@@ -293,7 +294,7 @@ def test_bigru_batch_permuting_rows_permutes_outputs_and_gradients(case):
     for rows in (np.arange(len(lengths)), perm):
         xt = Tensor(x[rows], requires_grad=True)
         out = bigru_batch(xt, lengths[rows], fwd, bwd)
-        flat = ad.reshape(out, (out.data.size,))
+        flat = reshape(out, (out.data.size,))
         weighted = ad.mul(flat, Tensor(w[rows].reshape(-1)))
         obj = sum_at(weighted, np.arange(flat.data.size))
         results.append((out.data, _grads_of(obj, store, xt)))
@@ -359,7 +360,7 @@ def test_threaded_scan_is_bit_equal_to_serial(case):
     for threaded in (False, True):
         with _scan_path(threaded):
             out = bigru_batch(x, lengths, fwd, bwd)
-            flat = ad.reshape(out, (out.data.size,))
+            flat = reshape(out, (out.data.size,))
             obj = sum_at(ad.mul(flat, Tensor(w)), np.arange(flat.data.size))
             results.append((out.data, _grads_of(obj, store, x)))
     (out_s, grads_s), (out_t, grads_t) = results

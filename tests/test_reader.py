@@ -40,6 +40,7 @@ from oracles import (
     gated_attention_chain,
     grad_check,
     matmul,
+    reshape,
     traced_memory,
     weighted_sum,
 )
@@ -253,14 +254,14 @@ def test_fused_gate_equals_the_six_op_chain_bit_for_bit(case, read_first):
         h_doc = Tensor(doc, requires_grad=True)
         h_query = Tensor(query, requires_grad=True)
         gated, alpha = layer(h_doc, h_query, q_lens)
-        q_t = ad.gather_rows(ad.reshape(h_query, (batch * t_query, dim)), rows)
-        scores = matmul(gated, ad.reshape(q_t, (batch, dim, 1)))
+        q_t = ad.gather_rows(reshape(h_query, (batch * t_query, dim)), rows)
+        scores = matmul(gated, reshape(q_t, (batch, dim, 1)))
         objective = weighted_sum(scores, w)
         if read_first:
             # reads of both inputs whose gradients land before the layer's,
             # so the order in which the layer adds its terms shows in the bits
-            d_t = ad.gather_rows(ad.reshape(h_doc, (-1, dim)), doc_rows)
-            q_again = ad.gather_rows(ad.reshape(h_query, (-1, dim)), rows)
+            d_t = ad.gather_rows(reshape(h_doc, (-1, dim)), doc_rows)
+            q_again = ad.gather_rows(reshape(h_query, (-1, dim)), rows)
             reads = ad.add(weighted_sum(d_t, w_doc), weighted_sum(q_again, w_query))
             objective = ad.add(reads, objective)
         objective.backward()
@@ -481,10 +482,28 @@ def test_train_step_tape_does_not_grow_with_the_batch(monkeypatch):
         nodes[n] = calls
     assert nodes[8] == nodes[1], nodes
     # the answer pointer is one node, as each layer's gate is; the rest are
-    # 11 from embedding to the padded batches, each layer's two BiGRUs and
+    # 8 from embedding to the padded batches, each layer's two BiGRUs and
     # its gate, and the loss
     assert pointer_nodes == [1, 1]
-    assert nodes[1] == 11 + 3 * model.config.num_layers + 1 + 1
+    assert nodes[1] == 8 + 3 * model.config.num_layers + 1 + 1
+
+
+def test_gather_padded_records_one_tape_node(monkeypatch):
+    # a padded batch is one N-D gather, with no reshape node after it
+    table = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+    record = ad._record
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return record(*args)
+
+    monkeypatch.setattr(ad, "_record", counting)
+    x3, lengths = reader._gather_padded(table, [[2, 1], [3, 1, 1]])
+    assert calls == 1
+    assert lengths.tolist() == [2, 3]
+    assert np.array_equal(x3.data, table.data[[[2, 1, 0], [3, 1, 1]]])
 
 
 def test_distribution_aggregates_repeated_words():
