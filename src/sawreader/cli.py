@@ -20,7 +20,7 @@ from .configio import load_config
 from .data import DatasetError, load_dataset, save_dataset
 from .harness import SWEEP_AXES, dump_attention, evaluate, new_model, sweep, sweep_csv
 from .reader import ReaderConfig, load_model, save_model, top_candidates
-from .synth import SyntheticSpec, generate_synthetic
+from .synth import MIN_DOC_LEN, SyntheticSpec, generate_synthetic
 from .training import TrainConfig, eval_passes, train
 from .vocab import build_short_list, build_vocab, read_word_counts
 
@@ -88,6 +88,8 @@ def _parse_len_range(text: str) -> tuple[int, int]:
         raise ValueError(
             f"doc-len must look like LO:HI with integer LO and HI, got {text!r}"
         ) from None
+    if lo < MIN_DOC_LEN or hi < lo:
+        raise ValueError(f"doc-len must satisfy {MIN_DOC_LEN} <= LO <= HI, got {text!r}")
     return lo, hi
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import heapq
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -463,12 +465,29 @@ _CKPT_FILES = {
 
 
 def save_model(model: ReaderModel, ckpt_dir) -> None:
+    """Write the checkpoint files whole into a staging directory inside
+    ckpt_dir, then move each one into place, so a save that raises leaves
+    the old checkpoint as it was. No existing file is truncated or renamed
+    over: on ext4 (auto_da_alloc) either makes the kernel write the new data
+    out at once, which the README's "Checkpoint layout" times. Other files
+    in ckpt_dir are left alone."""
     os.makedirs(ckpt_dir, exist_ok=True)
-    path = lambda key: os.path.join(ckpt_dir, _CKPT_FILES[key])
-    save_config(model.config, path("config"))
-    model.merges.save(path("merges"))
-    model.vocab.save(path("vocab"))
-    model.params.save(path("params"), path("manifest"))
+    staging = tempfile.mkdtemp(prefix=".save-", dir=ckpt_dir)
+    try:
+        path = lambda key: os.path.join(staging, _CKPT_FILES[key])
+        save_config(model.config, path("config"))
+        model.merges.save(path("merges"))
+        model.vocab.save(path("vocab"))
+        model.params.save(path("params"), path("manifest"))
+        for name in _CKPT_FILES.values():
+            target = os.path.join(ckpt_dir, name)
+            try:
+                os.unlink(target)
+            except FileNotFoundError:
+                pass
+            os.rename(os.path.join(staging, name), target)
+    finally:
+        shutil.rmtree(staging)
 
 
 def load_model(ckpt_dir) -> ReaderModel:

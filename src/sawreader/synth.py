@@ -16,6 +16,9 @@ import numpy as np
 
 from .data import PLACEHOLDER, ClozeExample
 
+# shortest document length a SyntheticSpec (and `saw gen-data --doc-len`) accepts
+MIN_DOC_LEN = 8
+
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
 
@@ -39,8 +42,8 @@ class SyntheticSpec:
         if not 0.0 <= self.oov_rate <= 1.0:
             raise ValueError(f"oov_rate must be in [0, 1], got {self.oov_rate}")
         lo, hi = self.doc_len_range
-        if lo < 8 or hi < lo:
-            raise ValueError("doc_len_range must satisfy 8 <= lo <= hi")
+        if lo < MIN_DOC_LEN or hi < lo:
+            raise ValueError(f"doc_len_range must satisfy {MIN_DOC_LEN} <= lo <= hi")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

@@ -340,6 +340,13 @@ def test_error_paths_exit_one(tmp_path, capsys):
             "error: doc-len must look like LO:HI with integer LO and HI,"
             f" got {doc_len!r}\n"
         )
+    for doc_len in ("40:20", "0:0", "1:2"):
+        rc = main(["gen-data", "--out", str(tmp_path / "g"), "--doc-len", doc_len])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: doc-len must satisfy 8 <= LO <= HI, got {doc_len!r}\n"
+        )
+    assert not (tmp_path / "g").exists()
 
 
 def test_per_gate_checkpoint_fails_eval_with_one_error_line(workspace, capsys):

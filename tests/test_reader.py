@@ -1,5 +1,6 @@
 """Embedding fusion, gated attention, answer aggregation, and checkpoints."""
 
+import errno
 import functools
 import os
 import tempfile
@@ -657,6 +658,70 @@ def test_checkpoint_round_trip(tmp_path):
     for fp_a, fp_b in zip(before, after):
         assert np.array_equal(fp_a.dist.per_position, fp_b.dist.per_position)
         assert answer(fp_a.dist) == answer(fp_b.dist)
+
+
+CKPT_FILES = ("reader.cfg", "merges.txt", "vocab.tsv", "params.bin", "params.manifest")
+
+
+@pytest.mark.parametrize(
+    "interrupt", [OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt()]
+)
+def test_interrupted_save_leaves_previous_checkpoint(tmp_path, monkeypatch, interrupt):
+    first = _model(op="mul", seed=0)
+    ckpt = tmp_path / "ckpt"
+    save_model(first, ckpt)
+    saved = {name: (ckpt / name).read_bytes() for name in CKPT_FILES}
+
+    def torn_save(self, bin_path, manifest_path):
+        with open(bin_path, "wb") as fh:
+            fh.write(b"\0" * 64)
+        raise interrupt
+
+    # reader.cfg differs too, and is written before the parameters
+    second = _model(op="sum", seed=1)
+    monkeypatch.setattr(reader.ParamStore, "save", torn_save)
+    with pytest.raises(type(interrupt)):
+        save_model(second, ckpt)
+    monkeypatch.undo()
+
+    assert sorted(os.listdir(ckpt)) == sorted(CKPT_FILES)
+    for name in CKPT_FILES:
+        assert (ckpt / name).read_bytes() == saved[name], name
+    loaded = load_model(ckpt)
+    examples = _examples()
+    with ad.no_grad():
+        for fp, fp_loaded in zip(forward_batch(first, examples), forward_batch(loaded, examples)):
+            assert np.array_equal(fp.dist.per_position, fp_loaded.dist.per_position)
+
+
+def test_resave_moves_new_files_into_place_and_keeps_the_rest(tmp_path):
+    ckpt, fresh = tmp_path / "ckpt", tmp_path / "fresh"
+    save_model(_model(op="mul", seed=0), ckpt)
+    (ckpt / "history.csv").write_text("epoch,lr,train_loss,train_acc,valid_acc\n")
+    (ckpt / "subwords.tsv").write_text("<sub-unk>\n")
+    # a symlinked checkpoint file is replaced, and what it pointed at is kept
+    outside = tmp_path / "merges-elsewhere.txt"
+    os.replace(ckpt / "merges.txt", outside)
+    os.symlink(outside, ckpt / "merges.txt")
+    outside_bytes = outside.read_bytes()
+    before = {name: os.lstat(ckpt / name) for name in os.listdir(ckpt)}
+
+    model = _model(op="sum", seed=1)
+    save_model(model, ckpt)
+    save_model(model, fresh)
+
+    assert sorted(os.listdir(ckpt)) == sorted(before)
+    for name in CKPT_FILES:
+        # each file is new (the old inode was still allocated when it was
+        # made), and holds what a save into an empty directory writes
+        st = os.lstat(ckpt / name)
+        assert st.st_ino != before[name].st_ino, name
+        assert not os.path.islink(ckpt / name), name
+        assert (ckpt / name).read_bytes() == (fresh / name).read_bytes(), name
+    for name in ("history.csv", "subwords.tsv"):
+        assert os.lstat(ckpt / name).st_ino == before[name].st_ino, name
+    assert (ckpt / "subwords.tsv").read_text() == "<sub-unk>\n"
+    assert outside.read_bytes() == outside_bytes
 
 
 @settings(max_examples=20, deadline=None)
