@@ -138,8 +138,7 @@ def _cmd_train(args) -> int:
         )
 
     history = train(model, train_set, valid_set, train_cfg, log=log)
-    save_model(model, args.out)
-    history.save(os.path.join(args.out, "history.csv"))
+    save_model(model, args.out, history)
     print(f"saved checkpoint to {args.out}")
     return 0
 

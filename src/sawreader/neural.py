@@ -1,10 +1,13 @@
 """GRU recurrences and parameter storage.
 
 The BiGRU is one fused tape node for both directions: the batched scan
-runs in numpy, and the hand-derived backward replays the cached gates. A
-large scan runs each direction on its own thread, with the same arithmetic.
-It projects its inputs one block of steps at a time, so a scan with no
-graph to record keeps the gates of one block only. The scan works on the packed layout of pack_padded_sequence and cuDNN:
+runs in numpy, and the hand-derived backward replays the cached gates.
+Several BiGRUs over the same inputs and lengths, one direction pair each,
+can run as one scan over all their directions and one tape node (the
+reader's K query BiGRUs). A large scan runs each half of its directions on
+its own thread, with the same arithmetic. It projects its inputs one block
+of steps at a time, so a scan with no graph to record keeps the gates of
+one block only. The scan works on the packed layout of pack_padded_sequence and cuDNN:
 rows sorted by length, so each step touches only the rows still running,
 and the backward direction starts each row at its own last token. Padded
 positions are never read, and their outputs are zero in both directions.
@@ -19,6 +22,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -27,8 +31,9 @@ from .autodiff import Tensor
 
 INIT_SCALE = 0.05
 
-# A BiGRU runs its two directions on two threads when rows at step 0 times
-# hidden squared reaches this; README gives the measured crossover.
+# A BiGRU runs each half of its directions on its own thread when rows at
+# step 0 times hidden squared reaches this; README gives the measured
+# crossover.
 THREADED_MIN_WORK = 16 * 128 * 128
 # the name prefix of that one worker thread
 WORKER_NAME = "sawreader-bigru"
@@ -243,7 +248,8 @@ def _blocks(starts: list[int]) -> list[tuple[int, int]]:
 
 
 def _worker():
-    """The one thread that runs direction 1 of a large scan, made on first use."""
+    """The one thread that runs the second half of a large scan's
+    directions, made on first use."""
     global _worker_pool
     with _worker_lock:
         if _worker_pool is None:
@@ -255,23 +261,24 @@ def _worker():
     return _worker_pool
 
 
-def _each_direction(run, threaded: bool) -> list:
-    """run over the direction pair: its per-direction results, in order.
+def _each_direction(run, dirs: int, threaded: bool) -> list:
+    """run over the dirs directions: their per-direction results, in order.
 
     run takes a slice of the leading direction axis and returns a list.
-    Serially it is called once on both directions; threaded, the worker
-    runs direction 1 while this thread runs direction 0 (numpy releases the
-    GIL in BLAS calls and ufunc loops, so the two overlap). run writes into
-    the caller's buffers, so this returns only after both calls have ended,
-    also when one raises.
+    Serially it is called once on all directions; threaded, the worker
+    runs the second half while this thread runs the first (numpy releases
+    the GIL in BLAS calls and ufunc loops, so the two overlap). run writes
+    into the caller's buffers, so this returns only after both calls have
+    ended, also when one raises.
     """
     if not threaded:
-        return run(slice(0, 2))
-    future = _worker().submit(run, slice(1, 2))
+        return run(slice(0, dirs))
+    half = dirs // 2
+    future = _worker().submit(run, slice(half, dirs))
     try:
-        first = run(slice(0, 1))
+        first = run(slice(0, half))
     except BaseException:
-        future.exception()  # waits for direction 1
+        future.exception()  # waits for the second half
         raise
     return first + future.result()
 
@@ -296,10 +303,11 @@ def _scan(
 ) -> list:
     """Forward recurrence of the directions stacked on the leading axis.
 
-    w and b list each direction's W and b; src, u_rz, u_cand, gates and
-    states hold one entry per direction, and the (B * T, directions, h)
-    output res one column. Each block of steps gathers its inputs (with
-    dropout applied when keep is set, see _gather) and projects them;
+    w, b, src, keep and res list each direction's W, b, slot sources,
+    flat keep-mask (or None) and (B * T, h) output; u_rz, u_cand, gates
+    and states hold one entry per direction. Each block of steps gathers
+    its inputs (with dropout applied when the direction's keep is set, see
+    _gather) and projects them;
     then each step fills its gate rows with r, z and the candidate
     state and its states rows with the new state, and the block's states
     go to the positions their slots read. states holds one block. gates
@@ -314,7 +322,9 @@ def _scan(
         base = lo if reuse else 0
         for d in range(len(w)):
             g_blk = gates[d, lo - base : hi - base]
-            np.matmul(_gather(x_flat, src[d, lo:hi], keep, scale), w[d].T, out=g_blk)
+            np.matmul(
+                _gather(x_flat, src[d][lo:hi], keep[d], scale), w[d].T, out=g_blk
+            )
             g_blk += b[d]
         for s in range(s0, s1):
             n, at = counts[s], starts[s]
@@ -338,7 +348,7 @@ def _scan(
             h_new += h
             h = h_new
         for d in range(len(w)):
-            res[src[d, lo:hi], d] = states[d, : hi - lo]
+            res[d][src[d][lo:hi]] = states[d, : hi - lo]
         h = h.copy()  # the next block overwrites states
     return []
 
@@ -388,7 +398,7 @@ def _scan_backward(
         du = np.concatenate(
             [da_later[:, : 2 * hid].T @ h_prev[d], da_later[:, 2 * hid :].T @ rh]
         )
-        _gather(x_flat, src[d], keep, scale, out=xs[d])
+        _gather(x_flat, src[d], keep[d], scale, out=xs[d])
         results.append((da.T @ xs[d], du, da.sum(axis=0)))
         if need_dx:
             np.matmul(da, w[d], out=xs[d])
@@ -398,11 +408,11 @@ def _scan_backward(
 def bigru_batch(
     x: Tensor,
     lengths: np.ndarray,
-    fwd: GruParams,
-    bwd: GruParams,
-    keep: np.ndarray | None = None,
+    fwd: GruParams | Sequence[GruParams],
+    bwd: GruParams | Sequence[GruParams],
+    keep: np.ndarray | Sequence[np.ndarray | None] | None = None,
     scale: float = 1.0,
-) -> Tensor:
+) -> Tensor | list[Tensor]:
     """Bidirectional scan over (B, T, in); padded positions output zeros.
 
     With a boolean keep-mask of x's shape, the scan reads inverted dropout
@@ -419,91 +429,128 @@ def bigru_batch(
     output is zero in both directions; padded inputs are never read and get
     zero gradient, and a gradient on a padded output goes nowhere.
 
+    fwd and bwd may also be equal-length sequences of K direction pairs,
+    with keep None or a sequence of K masks (each None or a mask): K
+    BiGRUs over the same x and lengths, which may differ in their weights
+    and masks but not in hidden size. They run as one scan of 2K
+    directions and one tape node, and the result is a list of each pair's
+    output, each picked from that node by a node of its own. Each output
+    and every gradient equals that of a call with its pair alone, bit for
+    bit; x takes the pairs' input gradients in order, first pair first.
+
     The scan runs over the packed real positions (see _packing), with the
     states of step s stacked as (directions, counts[s], h) and one batched
     matmul per gate group. It goes one block of steps at a time (see
     _blocks): one GEMM per direction projects the block's inputs into a
     gate buffer that each step overwrites with its activations r, z and
     the candidate state, and the block's states go straight to the output.
-    With a graph to record, the gate buffer is (2, N_real, 3h), and the
-    hand-derived backward replays it and overwrites it with the gate
-    gradients; with none, every block reuses one block's buffer. Both
+    With a graph to record, the gate buffer is (directions, N_real, 3h),
+    and the hand-derived backward replays it and overwrites it with the
+    gate gradients; with none, every block reuses one block's buffer. Both
     make the same GEMM calls, so their outputs are equal bit for bit. When
-    a step's work, B * h * h, reaches THREADED_MIN_WORK, each direction's
-    projection, scan and gradient GEMMs run on their own thread; the
-    arithmetic, and so every bit of the results, is the same either way.
+    a step's work for one pair, B * h * h, reaches THREADED_MIN_WORK, each
+    half of the directions runs its projections, scan and gradient GEMMs on
+    its own thread; the arithmetic, and so every bit of the results, is the
+    same either way.
     """
+    pairs = not isinstance(fwd, GruParams)
+    if pairs:
+        fwds, bwds = list(fwd), list(bwd)
+        keeps = [None] * len(fwds) if keep is None else list(keep)
+    else:
+        fwds, bwds, keeps = [fwd], [bwd], [keep]
+    if not fwds or len(bwds) != len(fwds) or len(keeps) != len(fwds):
+        raise ValueError(
+            "bigru_batch: need one bwd direction and one keep-mask per fwd direction"
+        )
     if x.ndim != 3:
         raise ValueError("bigru_batch: expected a (B, T, in) tensor")
     batch, steps, in_dim = x.shape
-    if in_dim != fwd.input_dim or in_dim != bwd.input_dim:
+    dirs = [p for pair in zip(fwds, bwds) for p in pair]
+    hid = dirs[0].hidden_dim
+    if any(p.input_dim != in_dim for p in dirs):
         raise ValueError(
             f"bigru_batch: input dim {in_dim} does not match GRU params"
         )
-    if fwd.hidden_dim != bwd.hidden_dim:
+    if any(p.hidden_dim != hid for p in dirs):
         raise ValueError("bigru_batch: direction hidden dims differ")
     lengths = np.asarray(lengths, dtype=np.intp)
     if lengths.shape != (batch,) or (lengths < 1).any() or (lengths > steps).any():
         raise ValueError("bigru_batch: lengths must be in [1, T] per batch row")
-    if keep is not None and (keep.dtype != np.bool_ or keep.shape != x.shape):
-        raise ValueError("bigru_batch: keep must be a boolean mask of x's shape")
-    hid = fwd.hidden_dim
-    dirs = (fwd, bwd)
+    for k in keeps:
+        if k is not None and (k.dtype != np.bool_ or k.shape != x.shape):
+            raise ValueError("bigru_batch: keep must be a boolean mask of x's shape")
+    n_pairs, n_dirs = len(fwds), len(dirs)
     threaded = batch * hid * hid >= THREADED_MIN_WORK
-    src, counts, starts = _packing(lengths, steps)
+    packed, counts, starts = _packing(lengths, steps)
     blocks = _blocks(starts)
+    n_real = packed.shape[1]
+    # per direction: the positions its slots read, its flat keep-mask, and
+    # its (B * T, h) column of the output
+    src = [packed[0], packed[1]] * n_pairs
+    keep_flat = [None if k is None else k.reshape(-1, in_dim) for k in keeps]
+    keep_dirs = [k for k in keep_flat for _ in range(2)]
     x_flat = x.data.reshape(-1, in_dim)
-    keep_flat = None if keep is None else keep.reshape(-1, in_dim)
     w = [p.W.data for p in dirs]
     b = [p.b.data for p in dirs]
     u_rz = np.stack([p.U.data[: 2 * hid] for p in dirs])
     u_cand = np.stack([p.U.data[2 * hid :] for p in dirs])
-    parents = (x, fwd.W, fwd.U, fwd.b, bwd.W, bwd.U, bwd.b)
+    parents = (x,) + tuple(t for p in dirs for t in (p.W, p.U, p.b))
     needs_grad = ad._needs(*parents)
     # only the backward replays every slot's gates
     rows = max(starts[e] - starts[s] for s, e in blocks)
-    gates = np.empty((2, src.shape[1] if needs_grad else rows, 3 * hid))
-    states = np.empty((2, rows, hid))
-    # (B, T, 2h) once reshaped: each slot's state goes to the position it
-    # read, and padding stays zero
-    res = np.zeros((batch * steps, 2, hid))
+    gates = np.empty((n_dirs, n_real if needs_grad else rows, 3 * hid))
+    states = np.empty((n_dirs, rows, hid))
+    # each pair's (B, T, 2h) once reshaped: each slot's state goes to the
+    # position it read, and padding stays zero. A tape node keeps every
+    # pair's output in one buffer; with no graph each pair has its own, so a
+    # caller can drop one pair's states while it still holds the others.
+    size = (batch * steps, 2, hid)
+    if needs_grad:
+        res = np.zeros((n_pairs,) + size)
+        per_pair = list(res)
+    else:
+        per_pair = [np.zeros(size) for _ in range(n_pairs)]
+    res_dirs = [r[:, j] for r in per_pair for j in range(2)]
     _each_direction(
         lambda ds: _scan(
             x_flat, src[ds], w[ds], b[ds], u_rz[ds], u_cand[ds],
-            counts, starts, blocks, gates[ds], states[ds], res[:, ds],
-            keep_flat, scale,
+            counts, starts, blocks, gates[ds], states[ds], res_dirs[ds],
+            keep_dirs[ds], scale,
         ),
+        n_dirs,
         threaded,
     )
-    out = Tensor(res.reshape(batch, steps, 2 * hid))
+    shape = (batch, steps, 2 * hid)
     if not needs_grad:
-        return out
+        outs = [Tensor(r.reshape(shape)) for r in per_pair]
+        return outs if pairs else outs[0]
+    out = Tensor(res.reshape((n_pairs,) + shape if pairs else shape))
 
     def backward():
-        g_out = out.grad.reshape(-1, 2, hid)
+        g_out = out.grad.reshape(n_pairs, -1, 2, hid)
         # gathered straight into their buffers, with no per-direction
         # copies; src indexes real positions by construction, and
-        # mode="clip" lets take write into out without buffering the result
-        d_state = np.empty((2, src.shape[1], hid))
-        for d in range(2):
-            np.take(g_out[:, d], src[d], axis=0, out=d_state[d], mode="clip")
-        # the state each slot after step 0 read: the previous position in its
-        # own direction (step 0 read zeros)
-        o_flat = out.data.reshape(-1, 2, hid)
-        h_prev = np.empty((2, src.shape[1] - batch, hid))
-        for d, step in enumerate((-1, 1)):
-            np.take(
-                o_flat[:, d], src[d, batch:] + step, axis=0, out=h_prev[d],
-                mode="clip",
-            )
-        xs = np.empty((2, src.shape[1], in_dim))
+        # mode="clip" lets take write into out without buffering the
+        # result
+        d_state = np.empty((n_dirs, n_real, hid))
+        # the state each slot after step 0 read: the previous position
+        # in its own direction (step 0 read zeros)
+        h_prev = np.empty((n_dirs, n_real - batch, hid))
+        prev = [packed[0, batch:] - 1, packed[1, batch:] + 1]
+        for d in range(n_dirs):
+            k, j = divmod(d, 2)
+            np.take(g_out[k, :, j], src[d], axis=0, out=d_state[d], mode="clip")
+            np.take(res_dirs[d], prev[j], axis=0, out=h_prev[d], mode="clip")
+        xs = np.empty((n_dirs, n_real, in_dim))
         need_dx = x.requires_grad
         per_dir = _each_direction(
             lambda ds: _scan_backward(
                 x_flat, src[ds], w[ds], u_rz[ds], u_cand[ds], counts, starts,
                 gates[ds], h_prev[ds], d_state[ds], xs[ds], need_dx,
-                keep_flat, scale,
+                keep_dirs[ds], scale,
             ),
+            n_dirs,
             threaded,
         )
         # spent: freed before dx is made, which lowers the peak
@@ -513,17 +560,34 @@ def bigru_batch(
                 if t.requires_grad:
                     ad.accumulate(t, grad, fresh=True)
         if need_dx:
-            dx = np.zeros_like(x_flat)
-            for d in range(2):
-                dx[src[d]] += xs[d]
-            del xs
-            if keep is not None:
-                # dropout's backward, in place: the bits of dx * (keep * scale)
-                np.multiply(dx, keep_flat, out=dx)
-                dx *= scale
-            ad.accumulate(x, dx.reshape(x.shape), fresh=True)
+            for k, mask in enumerate(keep_flat):
+                dx = np.zeros_like(x_flat)
+                for d in (2 * k, 2 * k + 1):
+                    dx[src[d]] += xs[d]
+                if mask is not None:
+                    # dropout's backward, in place: the bits of
+                    # dx * (mask * scale)
+                    np.multiply(dx, mask, out=dx)
+                    dx *= scale
+                ad.accumulate(x, dx.reshape(x.shape), fresh=True)
 
-    return ad._record(out, parents, backward)
+    ad._record(out, parents, backward)
+    if not pairs:
+        return out
+    return [_pick(out, k) for k in range(n_pairs)]
+
+
+def _pick(fused: Tensor, k: int) -> Tensor:
+    """Pair k's (B, T, 2h) output, a view of a fused scan's (K, B, T, 2h)
+    output; its gradient lands in that pair's part of the fused one."""
+    out = Tensor(fused.data[k])
+
+    def backward():
+        if fused.grad is None:
+            fused.grad = np.zeros_like(fused.data)
+        fused.grad[k] += out.grad
+
+    return ad._record(out, (fused,), backward)
 
 
 def bigru_finals(h: Tensor, lengths: np.ndarray) -> Tensor:

@@ -14,6 +14,7 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,6 +26,9 @@ from .configio import load_config, save_config
 from .data import PLACEHOLDER, ClozeExample
 from .neural import GruParams, ParamStore
 from .vocab import ShortList, Vocabulary, build_short_list, index_subwords
+
+if TYPE_CHECKING:
+    from .training import TrainHistory
 
 INTEGRATION_OPS = ("concat", "sum", "mul")
 
@@ -82,6 +86,10 @@ class ReaderModel:
     sequence at init and the checkpoint layout. With seed None the
     parameters get their shapes only and nothing is drawn: load_model
     overwrites every value.
+
+    segments memoises index_subwords for vocabulary words only, so it
+    never outgrows the vocabulary; subword_encode_batch fills it as words
+    come, and building a model segments nothing.
     """
 
     def __init__(
@@ -98,6 +106,7 @@ class ReaderModel:
         self.subwords = subwords
         self.vocab = vocab
         self.short_list = short_list
+        self.segments: dict[str, tuple[int, ...]] = {}
         self.params = ParamStore()
         rng = None if seed is None else np.random.default_rng(seed)
         store = self.params
@@ -206,11 +215,22 @@ def _gather_padded(table: Tensor, seqs: list[list[int]]) -> tuple[Tensor, np.nda
     return ad.gather_rows(table, idx), lengths
 
 
+def _subword_units(model: ReaderModel, word: str) -> tuple[int, ...]:
+    """index_subwords of word, each vocabulary word's taken from
+    model.segments once it has been segmented there."""
+    units = model.segments.get(word)
+    if units is None:
+        units = index_subwords(word, model.merges, model.subwords)
+        if word in model.vocab.counts:
+            model.segments[word] = units
+    return units
+
+
 def subword_encode_batch(model: ReaderModel, words: list[str]) -> Tensor:
     """Subword embeddings for a list of words, stacked as (n, subword_out_dim)."""
     if not words:
         raise ValueError("subword_encode_batch: empty word list")
-    seqs = [index_subwords(w, model.merges, model.subwords) for w in words]
+    seqs = [_subword_units(model, w) for w in words]
     x3, lengths = _gather_padded(model.sub_emb, seqs)
     h = neural.bigru_batch(x3, lengths, model.sub_enc_fwd, model.sub_enc_bwd)
     finals = neural.bigru_finals(h, lengths)
@@ -413,26 +433,39 @@ def forward_batch(
         embedded, [[distinct[t] for t in ex.query] for ex in examples]
     )
     # Each name is dropped once its tensor is spent: with no graph to hold
-    # them, an eval pass keeps one layer's states at a time.
+    # them, an eval pass keeps one layer's document states at a time, and
+    # the query states of the layers still to run (all K at layer 1, since
+    # one scan makes them before the first layer).
     del embedded
     alphas: list[np.ndarray] = []
     # inverted dropout on the inputs of layers 2..K, applied by the BiGRU
-    # as it reads them: layer i draws its document mask, then its query mask
+    # as it reads them: layer i draws its document mask, then its query
+    # mask, all before the first scan
     drop = mode == "train" and cfg.dropout > 0
     scale = 1.0 / (1.0 - cfg.dropout)
-    for layer_i, layer in enumerate(model.layers, start=1):
-        d_keep = q_keep = None
-        if layer_i > 1 and drop:
-            d_keep = rng.random(doc_in.shape) >= cfg.dropout
-            q_keep = rng.random(x_query.shape) >= cfg.dropout
+    d_keeps: list[np.ndarray | None] = [None]
+    q_keeps: list[np.ndarray | None] = [None]
+    d_shape = doc_in.shape[:2] + (2 * cfg.hidden,)
+    for _ in model.layers[1:]:
+        d_keeps.append(rng.random(d_shape) >= cfg.dropout if drop else None)
+        q_keeps.append(rng.random(x_query.shape) >= cfg.dropout if drop else None)
+    # every layer's query BiGRU reads x_query: one scan for all of them
+    h_queries = neural.bigru_batch(
+        x_query,
+        q_lens,
+        [layer.query_fwd for layer in model.layers],
+        [layer.query_bwd for layer in model.layers],
+        q_keeps,
+        scale,
+    )
+    del x_query
+    for layer, d_keep in zip(model.layers, d_keeps):
         h_query = None
         h_doc = neural.bigru_batch(
             doc_in, d_lens, layer.doc_fwd, layer.doc_bwd, d_keep, scale
         )
         doc_in = None
-        h_query = neural.bigru_batch(
-            x_query, q_lens, layer.query_fwd, layer.query_bwd, q_keep, scale
-        )
+        h_query = h_queries.pop(0)
         doc_in, alpha = gated_attention_layer(h_doc, h_query, q_lens)
         del h_doc
         if collect_attention:
@@ -462,15 +495,19 @@ _CKPT_FILES = {
     "params": "params.bin",
     "manifest": "params.manifest",
 }
+HISTORY_FILE = "history.csv"
 
 
-def save_model(model: ReaderModel, ckpt_dir) -> None:
+def save_model(
+    model: ReaderModel, ckpt_dir, history: TrainHistory | None = None
+) -> None:
     """Write the checkpoint files whole into a staging directory inside
     ckpt_dir, then move each one into place, so a save that raises leaves
     the old checkpoint as it was. No existing file is truncated or renamed
     over: on ext4 (auto_da_alloc) either makes the kernel write the new data
-    out at once, which the README's "Checkpoint layout" times. Other files
-    in ckpt_dir are left alone."""
+    out at once, which the README's "Checkpoint layout" times. A training
+    history is staged as history.csv and moved with them. Other files in
+    ckpt_dir are left alone."""
     os.makedirs(ckpt_dir, exist_ok=True)
     staging = tempfile.mkdtemp(prefix=".save-", dir=ckpt_dir)
     try:
@@ -479,7 +516,11 @@ def save_model(model: ReaderModel, ckpt_dir) -> None:
         model.merges.save(path("merges"))
         model.vocab.save(path("vocab"))
         model.params.save(path("params"), path("manifest"))
-        for name in _CKPT_FILES.values():
+        names = list(_CKPT_FILES.values())
+        if history is not None:
+            history.save(os.path.join(staging, HISTORY_FILE))
+            names.append(HISTORY_FILE)
+        for name in names:
             target = os.path.join(ckpt_dir, name)
             try:
                 os.unlink(target)

@@ -1,6 +1,7 @@
 """End-to-end command line runs against temporary directories."""
 
 import csv
+import errno
 import json
 import os
 
@@ -9,6 +10,7 @@ import pytest
 from sawreader import harness
 from sawreader.cli import _parse_sweep_values, main
 from sawreader.data import ClozeExample, load_dataset, save_dataset
+from sawreader.training import TrainHistory
 
 TINY_CONFIG = """
 integration_op = "mul"
@@ -214,6 +216,44 @@ def test_train_eval_predict_cycle(workspace, capsys):
     for row in alpha_rows:
         values = [float(v) for v in row.split("\t")[3:]]
         assert abs(sum(values) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "interrupt", [OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt()]
+)
+def test_interrupted_train_leaves_previous_checkpoint_and_history(
+    workspace, monkeypatch, interrupt
+):
+    tmp_path, data_dir, config_path = workspace
+    ckpt = tmp_path / "ckpt"
+    train = ["train", "--config", str(config_path), "--data", str(data_dir), "--out", str(ckpt)]
+    assert main(train) == 0
+    saved = {name: (ckpt / name).read_bytes() for name in os.listdir(ckpt)}
+    assert "history.csv" in saved and "params.bin" in saved
+
+    def torn_save(self, path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("epoch,lr")
+        raise interrupt
+
+    # another seed trains other parameters and another history
+    monkeypatch.setenv("SAW_SEED", "1")
+    monkeypatch.setattr(TrainHistory, "save", torn_save)
+    if isinstance(interrupt, OSError):
+        assert main(train) == 1
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            main(train)
+    monkeypatch.undo()
+
+    assert sorted(os.listdir(ckpt)) == sorted(saved)
+    for name, data in saved.items():
+        assert (ckpt / name).read_bytes() == data, name
+    # uninterrupted, the same run replaces both
+    monkeypatch.setenv("SAW_SEED", "1")
+    assert main(train) == 0
+    for name in ("params.bin", "history.csv"):
+        assert (ckpt / name).read_bytes() != saved[name], name
 
 
 def test_sweep_command(workspace, tmp_path):

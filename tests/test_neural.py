@@ -274,6 +274,79 @@ def test_bigru_batch_matches_stepwise_oracle_and_padding_never_leaks(case):
 
 
 @st.composite
+def _pair_cases(draw):
+    """_lengths plus 1 to 3 direction pairs, each with or without a
+    keep-mask, on the serial or the threaded path."""
+    lengths, steps = draw(_lengths())
+    masked = draw(st.lists(st.booleans(), min_size=1, max_size=3))
+    return (
+        lengths,
+        steps,
+        draw(st.integers(1, 4)),
+        draw(st.integers(1, 4)),
+        masked,
+        draw(st.booleans()),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def _weighted_total(outs, ws):
+    """sum over k of sum(ws[k] * outs[k])."""
+    total = None
+    for out, w in zip(outs, ws):
+        flat = reshape(out, (out.data.size,))
+        term = sum_at(ad.mul(flat, Tensor(w)), np.arange(flat.data.size))
+        total = term if total is None else ad.add(total, term)
+    return total
+
+
+@settings(deadline=None, max_examples=40)
+@given(_pair_cases())
+def test_fused_pairs_equal_one_call_per_pair_bit_for_bit(case):
+    lengths, steps, in_dim, hid, masked, threaded, seed = case
+    rng = np.random.default_rng(seed)
+    store = ParamStore()
+    pairs = []
+    for k in range(len(masked)):
+        pair = [init_gru(store, f"{k}/{side}", in_dim, hid, rng) for side in "fb"]
+        for p in pair:
+            p.b.data = rng.standard_normal(p.b.data.shape) * 0.1
+        pairs.append(pair)
+    shape = (len(lengths), steps, in_dim)
+    # padded positions hold noise, which no pair may read
+    x = Tensor(rng.standard_normal(shape), requires_grad=True)
+    keeps = [rng.random(shape) >= 0.5 if m else None for m in masked]
+    ws = [rng.standard_normal(len(lengths) * steps * 2 * hid) for _ in pairs]
+    with _scan_path(threaded):
+        fused = bigru_batch(
+            x, lengths, [f for f, _ in pairs], [b for _, b in pairs], keeps, 1.0 / 0.7
+        )
+        fused_grads = _grads_of(_weighted_total(fused, ws), store, x)
+        # with no graph, each pair's output has a buffer of its own
+        with ad.no_grad():
+            untaped = bigru_batch(
+                x, lengths, [f for f, _ in pairs], [b for _, b in pairs], keeps, 1.0 / 0.7
+            )
+        for out, out_fused in zip(untaped, fused):
+            assert np.array_equal(out.data, out_fused.data)
+        # one call per pair, each with its own backward; x takes the pairs'
+        # input gradients in pair order
+        alone_grads, dx = {}, None
+        for (f, b), keep, w, out_fused in zip(pairs, keeps, ws, fused):
+            out = bigru_batch(x, lengths, f, b, keep, 1.0 / 0.7)
+            assert np.array_equal(out_fused.data, out.data)
+            grads = _grads_of(_weighted_total([out], [w]), store, x)
+            for t in (f.W, f.U, f.b, b.W, b.U, b.b):
+                name = next(n for n, s in store.items() if s is t)
+                alone_grads[name] = grads[name]
+            dx = grads["x"] if dx is None else dx + grads["x"]
+    alone_grads["x"] = dx
+    assert fused_grads.keys() == alone_grads.keys()
+    for name in fused_grads:
+        assert np.array_equal(fused_grads[name], alone_grads[name]), name
+
+
+@st.composite
 def _permuted_batches(draw):
     lengths, steps = draw(_lengths(min_rows=2))
     perm = draw(st.permutations(range(len(lengths))))

@@ -14,7 +14,7 @@ from sawreader import autodiff as ad
 from sawreader.autodiff import Tensor
 from sawreader.bpe import segment_word
 from sawreader.data import PLACEHOLDER, ClozeExample
-from sawreader.harness import build_pipeline, new_model
+from sawreader.harness import build_pipeline, evaluate, new_model
 from sawreader import reader
 from sawreader.reader import (
     INTEGRATION_OPS,
@@ -146,6 +146,64 @@ def test_mul_with_ones_unk_row_passes_subword_branch_through():
         fused = augment_words(model, [word])
         se = subword_encode_batch(model, [word])
     assert np.array_equal(fused.data[0], se.data[0])
+
+
+def test_segment_memo_returns_index_subwords_and_keeps_vocabulary_words_only():
+    model = _model()
+    assert model.segments == {}
+    oov = ["zebra", "lamps", "mirarok"]
+    assert not set(oov) & set(model.vocab.words)
+    words = model.vocab.words + oov
+    # cold, then warm
+    for _ in range(2):
+        for w in words:
+            units = reader._subword_units(model, w)
+            assert units == index_subwords(w, model.merges, model.subwords), w
+    assert set(model.segments) == set(model.vocab.words)
+
+
+def test_segment_memo_stays_within_the_vocabulary_after_open_vocabulary_eval(tmp_path):
+    splits = generate_synthetic(
+        SyntheticSpec(
+            vocab_size=30,
+            entity_pool=8,
+            doc_len_range=(8, 16),
+            num_examples=60,
+            oov_rate=0.3,
+            seed=5,
+        )
+    )
+    config = ReaderConfig(hidden=4, word_dim=4, subword_dim=4, num_layers=2, num_merges=20)
+    model = new_model(splits["train"], config, seed=1)
+    save_model(model, tmp_path)
+    loaded = load_model(tmp_path)
+    # building a model segments nothing
+    assert model.segments == {} and loaded.segments == {}
+    held_out = splits["valid"] + splits["test"]
+    seen = {t for ex in held_out for t in ex.document + ex.query}
+    assert seen - set(model.vocab.words), "expected words outside the vocabulary"
+    for m in (model, loaded):
+        evaluate(m, held_out)
+        assert 0 < len(m.segments) <= m.vocab.size
+        assert set(m.segments) <= set(m.vocab.words)
+
+
+def test_forward_with_a_warm_segment_memo_equals_a_cold_one():
+    model = _model()
+    examples = _examples() + [
+        ClozeExample(
+            "e4",
+            tuple("zebra took the lamps . rok saw zebra .".split()),
+            tuple("<blank> took the lamps .".split()),
+            "zebra",
+        )
+    ]
+    with ad.no_grad():
+        cold = forward_batch(model, examples)[0].probs.data
+        assert model.segments
+        warm = forward_batch(model, examples)[0].probs.data
+    assert "zebra" not in model.segments
+    assert np.array_equal(warm, cold)
 
 
 def test_fusion_operators_against_manual_branches():
@@ -483,10 +541,11 @@ def test_train_step_tape_does_not_grow_with_the_batch(monkeypatch):
         nodes[n] = calls
     assert nodes[8] == nodes[1], nodes
     # the answer pointer is one node, as each layer's gate is; the rest are
-    # 8 from embedding to the padded batches, each layer's two BiGRUs and
-    # its gate, and the loss
+    # 8 from embedding to the padded batches, the one BiGRU node of all the
+    # layers' query scans, each layer's document BiGRU, its pick of the
+    # query states and its gate, and the loss
     assert pointer_nodes == [1, 1]
-    assert nodes[1] == 8 + 3 * model.config.num_layers + 1 + 1
+    assert nodes[1] == 8 + 1 + 3 * model.config.num_layers + 1 + 1
 
 
 def test_gather_padded_records_one_tape_node(monkeypatch):
