@@ -6,8 +6,11 @@ Several BiGRUs over the same inputs and lengths, one direction pair each,
 can run as one scan over all their directions and one tape node (the
 reader's K query BiGRUs). A large scan runs each half of its directions on
 its own thread, with the same arithmetic. It projects its inputs one block
-of steps at a time, so a scan with no graph to record keeps the gates of
-one block only. The scan works on the packed layout of pack_padded_sequence and cuDNN:
+of steps at a time into two contiguous gate planes, one for r and z and
+one for the candidate, on which each step's elementwise gate math runs; a
+scan with no graph to record keeps the planes of one block only, and one
+that records copies each block's planes into the gate buffer its backward
+replays. The scan works on the packed layout of pack_padded_sequence and cuDNN:
 rows sorted by length, so each step touches only the rows still running,
 and the backward direction starts each row at its own last token. Padded
 positions are never read, and their outputs are zero in both directions.
@@ -298,39 +301,42 @@ def _gather(x_flat, rows, keep, scale, out=None) -> np.ndarray:
 
 
 def _scan(
-    x_flat, src, w, b, u_rz, u_cand, counts, starts, blocks, gates, states, res,
-    keep, scale,
+    x_flat, src, w, b, u_rz, u_cand, counts, starts, blocks, gates, rz_plane,
+    cand_plane, states, res, keep, scale,
 ) -> list:
     """Forward recurrence of the directions stacked on the leading axis.
 
     w, b, src, keep and res list each direction's W, b, slot sources,
-    flat keep-mask (or None) and (B * T, h) output; u_rz, u_cand, gates
-    and states hold one entry per direction. Each block of steps gathers
-    its inputs (with dropout applied when the direction's keep is set, see
-    _gather) and projects them;
-    then each step fills its gate rows with r, z and the candidate
-    state and its states rows with the new state, and the block's states
-    go to the positions their slots read. states holds one block. gates
-    holds one block too, or a row for every slot when the backward will
-    replay them. Returns no results.
+    flat keep-mask (or None) and (B * T, h) output; u_rz, u_cand,
+    rz_plane, cand_plane, states and gates (when set) hold one entry per
+    direction. Each block of steps gathers its inputs (with dropout
+    applied when the direction's keep is set, see _gather) and projects
+    them straight into two contiguous planes: r and z into rz_plane by a
+    GEMM over W's first 2h rows, the candidate into cand_plane by one over
+    its last h rows. Each step then overwrites its plane rows with r, z
+    and the candidate state and fills its states rows with the new state,
+    and the block's states go to the positions their slots read. The
+    planes and states hold one block. gates is None with no graph to
+    record; otherwise it holds a (N_real, 3h) row for every slot, into
+    which each block's planes are copied for the backward to replay.
+    Returns no results.
     """
     hid = u_cand.shape[2]
-    reuse = gates.shape[1] < starts[-1]
     h = np.zeros((len(w), counts[0], hid))
     for s0, s1 in blocks:
         lo, hi = starts[s0], starts[s1]
-        base = lo if reuse else 0
         for d in range(len(w)):
-            g_blk = gates[d, lo - base : hi - base]
-            np.matmul(
-                _gather(x_flat, src[d][lo:hi], keep[d], scale), w[d].T, out=g_blk
-            )
-            g_blk += b[d]
+            xs = _gather(x_flat, src[d][lo:hi], keep[d], scale)
+            rz, cand = rz_plane[d, : hi - lo], cand_plane[d, : hi - lo]
+            np.matmul(xs, w[d][: 2 * hid].T, out=rz)
+            rz += b[d][: 2 * hid]
+            np.matmul(xs, w[d][2 * hid :].T, out=cand)
+            cand += b[d][2 * hid :]
+            del xs  # freed before the next direction gathers its own
         for s in range(s0, s1):
-            n, at = counts[s], starts[s]
+            n, at = counts[s], starts[s] - lo
             h = h[:, :n]
-            g = gates[:, at - base : at - base + n]
-            rz = g[..., : 2 * hid]
+            rz = rz_plane[:, at : at + n]
             rz += h @ u_rz.transpose(0, 2, 1)
             # sigmoid(a) = (1 + tanh(a / 2)) / 2: one transcendental ufunc,
             # and stable at any magnitude
@@ -339,14 +345,17 @@ def _scan(
             rz += 1.0
             rz *= 0.5
             r, z = rz[..., :hid], rz[..., hid:]
-            cand = g[..., 2 * hid :]
+            cand = cand_plane[:, at : at + n]
             cand += (r * h) @ u_cand.transpose(0, 2, 1)
             np.tanh(cand, out=cand)
-            h_new = states[:, at - lo : at - lo + n]
+            h_new = states[:, at : at + n]
             np.subtract(cand, h, out=h_new)
             h_new *= z
             h_new += h
             h = h_new
+        if gates is not None:
+            gates[:, lo:hi, : 2 * hid] = rz_plane[:, : hi - lo]
+            gates[:, lo:hi, 2 * hid :] = cand_plane[:, : hi - lo]
         for d in range(len(w)):
             res[d][src[d][lo:hi]] = states[d, : hi - lo]
         h = h.copy()  # the next block overwrites states
@@ -441,17 +450,18 @@ def bigru_batch(
     The scan runs over the packed real positions (see _packing), with the
     states of step s stacked as (directions, counts[s], h) and one batched
     matmul per gate group. It goes one block of steps at a time (see
-    _blocks): one GEMM per direction projects the block's inputs into a
-    gate buffer that each step overwrites with its activations r, z and
-    the candidate state, and the block's states go straight to the output.
-    With a graph to record, the gate buffer is (directions, N_real, 3h),
-    and the hand-derived backward replays it and overwrites it with the
-    gate gradients; with none, every block reuses one block's buffer. Both
-    make the same GEMM calls, so their outputs are equal bit for bit. When
-    a step's work for one pair, B * h * h, reaches THREADED_MIN_WORK, each
-    half of the directions runs its projections, scan and gradient GEMMs on
-    its own thread; the arithmetic, and so every bit of the results, is the
-    same either way.
+    _blocks): two GEMMs per direction project the block's inputs into
+    contiguous (directions, rows, 2h) r-and-z and (directions, rows, h)
+    candidate planes, which each step overwrites with its activations, and
+    the block's states go straight to the output. Every block reuses one
+    block's planes. With a graph to record, each block's planes are then
+    copied into a (directions, N_real, 3h) gate buffer, which the
+    hand-derived backward replays and overwrites with the gate gradients.
+    Both paths make the same GEMM calls, so their outputs are equal bit for
+    bit. When a step's work for one pair, B * h * h, reaches
+    THREADED_MIN_WORK, each half of the directions runs its projections,
+    scan and gradient GEMMs on its own thread; the arithmetic, and so every
+    bit of the results, is the same either way.
     """
     pairs = not isinstance(fwd, GruParams)
     if pairs:
@@ -497,9 +507,12 @@ def bigru_batch(
     u_cand = np.stack([p.U.data[2 * hid :] for p in dirs])
     parents = (x,) + tuple(t for p in dirs for t in (p.W, p.U, p.b))
     needs_grad = ad._needs(*parents)
-    # only the backward replays every slot's gates
+    # only the backward replays every slot's gates; the planes, and the
+    # states, hold one block
+    gates = np.empty((n_dirs, n_real, 3 * hid)) if needs_grad else None
     rows = max(starts[e] - starts[s] for s, e in blocks)
-    gates = np.empty((n_dirs, n_real if needs_grad else rows, 3 * hid))
+    rz_plane = np.empty((n_dirs, rows, 2 * hid))
+    cand_plane = np.empty((n_dirs, rows, hid))
     states = np.empty((n_dirs, rows, hid))
     # each pair's (B, T, 2h) once reshaped: each slot's state goes to the
     # position it read, and padding stays zero. A tape node keeps every
@@ -515,7 +528,8 @@ def bigru_batch(
     _each_direction(
         lambda ds: _scan(
             x_flat, src[ds], w[ds], b[ds], u_rz[ds], u_cand[ds],
-            counts, starts, blocks, gates[ds], states[ds], res_dirs[ds],
+            counts, starts, blocks, None if gates is None else gates[ds],
+            rz_plane[ds], cand_plane[ds], states[ds], res_dirs[ds],
             keep_dirs[ds], scale,
         ),
         n_dirs,

@@ -31,6 +31,9 @@ if TYPE_CHECKING:
     from .training import TrainHistory
 
 INTEGRATION_OPS = ("concat", "sum", "mul")
+# word_table embeds this many words at a time, which bounds the subword
+# encoder's scan; README gives the measured choice
+TABLE_GROUP = 512
 
 
 @dataclass
@@ -259,6 +262,39 @@ def augment_words(model: ReaderModel, words: list[str]) -> Tensor:
     return _combine(model.config.integration_op, we, se)
 
 
+@dataclass
+class WordTable:
+    """augment_words' rows for a set of words, made with no graph: row
+    index[w] of rows is word w's fused embedding."""
+
+    index: dict[str, int]
+    rows: np.ndarray
+
+
+def _distinct_words(examples: list[ClozeExample]) -> dict[str, int]:
+    """Each distinct document or query word of the examples, numbered in
+    order of first occurrence."""
+    distinct: dict[str, int] = {}
+    for ex in examples:
+        for token in ex.document + ex.query:
+            if token not in distinct:
+                distinct[token] = len(distinct)
+    return distinct
+
+
+def word_table(model: ReaderModel, examples: list[ClozeExample]) -> WordTable:
+    """The word table of every distinct word of the examples, embedded
+    with no graph TABLE_GROUP words at a time into one preallocated array."""
+    index = _distinct_words(examples)
+    words = list(index)
+    rows = np.empty((len(words), model.config.embed_dim))
+    with ad.no_grad():
+        for start in range(0, len(words), TABLE_GROUP):
+            group = words[start : start + TABLE_GROUP]
+            rows[start : start + len(group)] = augment_words(model, group).data
+    return WordTable(index, rows)
+
+
 def _masked_softmax(scores: np.ndarray, lengths, node: str, axis: str) -> np.ndarray:
     """Softmax over the last axis of (B, ..., width) scores, in their own
     buffer; entries past each row's length get probability exactly 0.
@@ -408,8 +444,14 @@ def forward_batch(
     mode: str = "eval",
     rng: np.random.Generator | None = None,
     collect_attention: bool = False,
+    table: WordTable | None = None,
 ) -> list[ForwardPass]:
-    """Run the reader over a batch; one shared graph, one result per example."""
+    """Run the reader over a batch; one shared graph, one result per example.
+
+    The batch's distinct words are embedded by augment_words, or, with a
+    table, read from the table's rows, through which no gradient flows;
+    every document and query word must then be in the table.
+    """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
     if not examples:
@@ -420,23 +462,27 @@ def forward_batch(
     for ex in examples:
         _validate_example(ex)
 
-    distinct: dict[str, int] = {}
-    for ex in examples:
-        for token in ex.document + ex.query:
-            if token not in distinct:
-                distinct[token] = len(distinct)
-    embedded = augment_words(model, list(distinct))
-    doc_in, d_lens = _gather_padded(
-        embedded, [[distinct[t] for t in ex.document] for ex in examples]
-    )
-    x_query, q_lens = _gather_padded(
-        embedded, [[distinct[t] for t in ex.query] for ex in examples]
-    )
+    if table is None:
+        distinct = _distinct_words(examples)
+        embedded = augment_words(model, list(distinct))
+    else:
+        distinct, embedded = table.index, Tensor(table.rows)
+    try:
+        doc_rows = [[distinct[t] for t in ex.document] for ex in examples]
+        query_rows = [[distinct[t] for t in ex.query] for ex in examples]
+    except KeyError as err:  # only a table can lack a word
+        word = err.args[0]
+        ex = next(ex for ex in examples if word in ex.document + ex.query)
+        raise ValueError(
+            f"example {ex.id!r}: word {word!r} is not in the word table"
+        ) from None
+    doc_in, d_lens = _gather_padded(embedded, doc_rows)
+    x_query, q_lens = _gather_padded(embedded, query_rows)
     # Each name is dropped once its tensor is spent: with no graph to hold
     # them, an eval pass keeps one layer's document states at a time, and
     # the query states of the layers still to run (all K at layer 1, since
     # one scan makes them before the first layer).
-    del embedded
+    del embedded, doc_rows, query_rows
     alphas: list[np.ndarray] = []
     # inverted dropout on the inputs of layers 2..K, applied by the BiGRU
     # as it reads them: layer i draws its document mask, then its query

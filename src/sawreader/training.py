@@ -14,10 +14,13 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import ClozeExample
 from .neural import ParamStore
-from .reader import ForwardPass, ReaderModel, answer, forward_batch
+from .reader import ForwardPass, ReaderModel, answer, forward_batch, word_table
 
 LOSS_FLOOR = 1e-12
 EVAL_CHUNK = 64
+# eval_passes embeds the distinct words of this many chunks at a time, in
+# one word table that those chunks read
+EVAL_WINDOW = 16
 CLIP_THRESHOLD = 10.0
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -158,14 +161,26 @@ def eval_passes(
     model: ReaderModel, examples: list[ClozeExample]
 ) -> Iterator[ForwardPass]:
     """Each example's eval-mode pass, in order, run without a graph in
-    chunks of EVAL_CHUNK. Grad mode is off only inside each forward_batch
-    call, so the caller runs with its own mode between yields."""
-    for start in range(0, len(examples), EVAL_CHUNK):
-        with ad.no_grad():
-            passes = forward_batch(
-                model, examples[start : start + EVAL_CHUNK], mode="eval"
-            )
-        yield from passes
+    chunks of EVAL_CHUNK.
+
+    Each window of EVAL_WINDOW chunks first embeds its distinct words once,
+    in one word_table that its chunks read, so a word is encoded once per
+    window and the table stays bounded by the window. The table is made
+    from the parameters as they are when its window starts: the model must
+    not change while the generator is live. Grad mode is off only inside
+    the table's making and each forward_batch call, so the caller runs
+    with its own mode between yields.
+    """
+    span = EVAL_CHUNK * EVAL_WINDOW
+    for first in range(0, len(examples), span):
+        window = examples[first : first + span]
+        table = word_table(model, window)
+        for start in range(0, len(window), EVAL_CHUNK):
+            with ad.no_grad():
+                passes = forward_batch(
+                    model, window[start : start + EVAL_CHUNK], mode="eval", table=table
+                )
+            yield from passes
 
 
 def check_answerable(examples: list[ClozeExample]) -> None:

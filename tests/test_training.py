@@ -14,7 +14,7 @@ import pytest
 
 from sawreader import autodiff as ad
 import sawreader
-from sawreader import neural, training
+from sawreader import neural, reader, training
 from sawreader.data import ClozeExample
 from sawreader.harness import build_pipeline, evaluate, new_model
 from sawreader.neural import ParamStore
@@ -398,6 +398,89 @@ def test_eval_passes_restore_grad_mode_between_yields():
     assert seen == (examples * 20)[:40]
 
 
+def _chunk_words(examples, size):
+    """Each chunk's distinct document and query words, in first-seen order."""
+    return [
+        list(dict.fromkeys(t for ex in examples[i : i + size] for t in ex.document + ex.query))
+        for i in range(0, len(examples), size)
+    ]
+
+
+def _encoded_words(monkeypatch):
+    """The list that each word reaching subword_encode_batch is appended to."""
+    words = []
+    inner = reader.subword_encode_batch
+
+    def counting(model, batch):
+        words.extend(batch)
+        return inner(model, batch)
+
+    monkeypatch.setattr(reader, "subword_encode_batch", counting)
+    return words
+
+
+def test_eval_encodes_each_distinct_word_once_per_window(monkeypatch):
+    train_set, _, reader_cfg = _synthetic_setup()
+    model = new_model(train_set, reader_cfg)
+    size = 8
+    monkeypatch.setattr(training, "EVAL_CHUNK", size)
+    # several groups per table
+    monkeypatch.setattr(reader, "TABLE_GROUP", 7)
+    vocabularies = _chunk_words(train_set, size)
+    # one window of chunks whose vocabularies overlap
+    assert 3 <= len(vocabularies) <= training.EVAL_WINDOW
+    assert set(vocabularies[0]) & set(vocabularies[1]) & set(vocabularies[2])
+    words = _encoded_words(monkeypatch)
+    passes = list(eval_passes(model, train_set))
+    distinct = {w for vocab in vocabularies for w in vocab}
+    assert len(words) == len(distinct) and set(words) == distinct
+    # the same probabilities as chunks that embed their own words
+    with ad.no_grad():
+        own = [
+            fp
+            for i in range(0, len(train_set), size)
+            for fp in forward_batch(model, train_set[i : i + size], mode="eval")
+        ]
+    for fp, ref in zip(passes, own, strict=True):
+        assert fp.example is ref.example
+        np.testing.assert_allclose(
+            fp.dist.per_position, ref.dist.per_position, rtol=1e-12, atol=0
+        )
+
+
+def test_eval_window_bounds_the_word_table(monkeypatch):
+    # a window of one chunk encodes each chunk's words, as a chunk that
+    # embeds its own does, and its table holds those words only
+    train_set, _, reader_cfg = _synthetic_setup()
+    model = new_model(train_set, reader_cfg)
+    size = 8
+    monkeypatch.setattr(training, "EVAL_CHUNK", size)
+    monkeypatch.setattr(training, "EVAL_WINDOW", 1)
+    rows = []
+    inner = training.word_table
+
+    def recording(model, examples):
+        table = inner(model, examples)
+        rows.append(table.rows.shape[0])
+        return table
+
+    monkeypatch.setattr(training, "word_table", recording)
+    words = _encoded_words(monkeypatch)
+    list(eval_passes(model, train_set))
+    vocabularies = _chunk_words(train_set, size)
+    assert words == [w for vocab in vocabularies for w in vocab]
+    assert rows == [len(vocab) for vocab in vocabularies]
+
+
+def test_forward_batch_names_a_word_missing_from_its_table():
+    train_set, _, reader_cfg = _synthetic_setup()
+    model = new_model(train_set, reader_cfg)
+    table = reader.word_table(model, train_set[:1])
+    other = next(ex for ex in train_set if set(ex.document) - table.index.keys())
+    with pytest.raises(ValueError, match=f"example {other.id!r}: word .* is not in the word table"):
+        forward_batch(model, [other], table=table)
+
+
 def test_train_history_rows_and_determinism():
     model_a, examples = _tiny_setup()
     config = TrainConfig(batch_size=2, base_lr=0.01, epochs=3, seed=1)
@@ -489,9 +572,9 @@ def test_train_runs_no_eval_pass_over_train_split(monkeypatch):
     seen = {"train": 0, "eval": 0}
     inner = training.forward_batch
 
-    def counting(model, batch, mode="eval", rng=None):
+    def counting(model, batch, mode="eval", rng=None, table=None):
         seen[mode] += len(batch)
-        return inner(model, batch, mode=mode, rng=rng)
+        return inner(model, batch, mode=mode, rng=rng, table=table)
 
     monkeypatch.setattr(training, "forward_batch", counting)
     config = TrainConfig(batch_size=8, base_lr=0.05, epochs=2, seed=0)
